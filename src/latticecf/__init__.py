@@ -39,6 +39,7 @@ from .errors import (
     Disconnected,
     DivisionByZero,
     DomainError,
+    InternalError,
     InvalidCycle,
     InvalidSequence,
     LatticeCFError,

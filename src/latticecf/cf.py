@@ -161,19 +161,34 @@ class Staircase:
         return tuple(offs)
 
 
+def _continuants(s: int, terms: tuple) -> tuple[int, int, bool]:
+    """The pair ``(Z(terms), Z(terms[1:]))`` for the sign ``s = +/-1``.
+
+    Folded from the right by the tail recursion: one integer multiply-add
+    per term, on operands no longer than the result when the terms are
+    admissible (their continuants then grow).  The flag says whether some
+    proper tail ``terms[k:]``, k >= 1, has continuant 0.
+    """
+    z2, z1 = 0, 1  # Z of the two tails beyond the current suffix
+    zero_tail = False
+    for x in reversed(terms):
+        if not z1:
+            zero_tail = True
+        z2, z1 = z1, x * z1 + s * z2
+    return z1, z2, zero_tail
+
+
 def continuant(sign: str, terms) -> int:
     """Continuant Z^+(terms) or Z^-(terms), with Z(empty) = 1.
 
     Satisfies the head recursion ``Z(x1..xn) = x1*Z(x2..xn) +/- Z(x3..xn)``,
     its tail twin, and the palindrome symmetry ``Z(x1..xn) = Z(xn..x1)``.
+    Costs n integer multiply-adds, on operands of at most the result's bit
+    length for admissible terms.
     """
     if sign not in (PLUS, MINUS):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    s = 1 if sign == PLUS else -1
-    z2, z1 = 0, 1  # Z of the two tails beyond the current suffix
-    for x in reversed(tuple(terms)):
-        z2, z1 = z1, x * z1 + s * z2
-    return z1
+    return _continuants(1 if sign == PLUS else -1, tuple(terms))[0]
 
 
 def evaluate(cf: CFExpansion) -> Fraction:
@@ -184,19 +199,19 @@ def evaluate(cf: CFExpansion) -> Fraction:
 def eval_terms(kind: str, terms) -> Fraction:
     """Value of raw terms in the given calculus (no admissibility check).
 
-    Raises DivisionByZero if some proper tail evaluates to 0; admissible
-    sequences never trip this.
+    The value is the continuant ratio ``Z(x1..xn)/Z(x2..xn)``: n integer
+    multiply-adds, on operands of at most the output's bit length for
+    admissible terms, then one ``Fraction``.  Raises DivisionByZero if some
+    proper tail evaluates to 0, i.e. has continuant 0; admissible sequences
+    never trip this.
     """
-    s = 1 if kind == E else -1
     terms = tuple(terms)
     if not terms:
         raise InvalidSequence("cannot evaluate an empty expansion")
-    acc = Fraction(terms[-1])
-    for x in reversed(terms[:-1]):
-        if acc == 0:
-            raise DivisionByZero(f"zero tail while evaluating {list(terms)}")
-        acc = x + s / acc
-    return acc
+    num, den, zero_tail = _continuants(1 if kind == E else -1, terms)
+    if zero_tail:
+        raise DivisionByZero(f"zero tail while evaluating {list(terms)}")
+    return Fraction(num, den)
 
 
 def expand_e(x) -> CFExpansion:

@@ -4,18 +4,21 @@ Every subcommand prints exact integers/rationals or canonical JSON/DOT/SVG
 text: no floats, no timestamps, keys sorted, so output is byte-identical
 across runs and platforms.  Exit codes: 0 success, 1 usage error, 2 domain
 error, 3 oracle mismatch (commands with --oracle recompute through the
-independent brute-force path and fail loudly on disagreement).
+independent brute-force path and fail loudly on disagreement) or failed
+internal invariant.  Integers of any length are read and printed: CPython's
+int/str digit limit is lifted while ``main`` runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 
 from . import cf, graphs, lattice, singularities as sing, zigzag
-from .errors import LatticeCFError
+from .errors import InternalError, LatticeCFError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,13 +297,31 @@ def _run(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int/str conversion digit limit, restoring it on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before CPython 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
-    except LatticeCFError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv=None) -> int:
+    with _unlimited_int_digits():
+        args = _build_parser().parse_args(argv)
+        try:
+            return _run(args)
+        except InternalError as exc:
+            sys.stderr.write(f"internal error: {exc}\n")
+            return 3
+        except LatticeCFError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

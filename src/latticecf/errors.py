@@ -47,3 +47,7 @@ class InvalidCycle(LatticeCFError):
 
 class CycleTooShort(LatticeCFError):
     """The trace formula needs a cycle of length at least two."""
+
+
+class InternalError(LatticeCFError):
+    """An internal invariant failed: a fault in this package, not in the input."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import Disconnected, DomainError, NotContractible, UnknownVertex
 
@@ -126,54 +125,58 @@ def _check_vertex(g: WeightedDualGraph, i: int):
         raise UnknownVertex(f"no vertex {i} in a graph on {len(g)} vertices")
 
 
+def _minors(g: WeightedDualGraph):
+    """Yield the leading principal minors M_1, M_2, ... of the intersection matrix.
+
+    They are the pivots of one sparse symmetric Bareiss pass in vertex order.
+    Step t sets ``a_ij = (M_t * a_ij - a_it * a_tj) / M_{t-1}`` for pairs in
+    pivot row t only; other entries keep the step s they were last set at and
+    are rescaled on use by M_t / M_s, exactly.  Stops after the first zero
+    minor.  O(n) multiply-adds on chains and trees, fill-bound otherwise.
+    """
+    rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (a_ij, step), j >= i
+    for i, j in g.edges:  # a loop (i, i) adds nothing to the matrix
+        rows[i][j] = (rows[i].get(j, (0, 0))[0] + (i != j), 0)
+    minors = [1]
+    for t, row in enumerate(rows):
+        tail = {j: a if s == t else a * minors[t] // minors[s] for j, (a, s) in row.items()}
+        pivot = tail.pop(t)
+        yield pivot
+        if not pivot:
+            return
+        minors.append(pivot)
+        tail = sorted(tail.items())
+        for k, (i, left) in enumerate(tail):
+            for j, right in tail[k:]:
+                a, s = rows[i].get(j, (0, t))
+                rows[i][j] = ((pivot * a * minors[t] // minors[s] - left * right) // minors[t], t + 1)
+
+
 def is_contractible(g: WeightedDualGraph) -> bool:
     """Whether the intersection matrix is negative definite.
 
-    Decided exactly through the leading principal minors: the k-th pivot of
-    symmetric elimination without reordering equals minor_k / minor_{k-1},
-    so the matrix is negative definite iff every pivot is negative (the
-    minors then alternate in sign).  Elimination on sparse rows keeps this
-    linear-time on chains and trees.
+    Sylvester's criterion sign(M_k) = (-1)^k, read off the minors pass up
+    to the first wrong sign: O(n) on chains and trees, fill-bound otherwise.
     """
-    n = len(g)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for i, v in enumerate(g.vertices):
-        if v.weight:
-            rows[i][i] = Fraction(v.weight)
-    for i, j in g.edges:
-        if i != j:
-            rows[i][j] = rows[i].get(j, Fraction(0)) + 1
-            rows[j][i] = rows[j].get(i, Fraction(0)) + 1
-    for k in range(n):
-        pivot = rows[k].get(k, Fraction(0))
-        if pivot >= 0:
-            return False
-        tail = [(j, val) for j, val in rows[k].items() if j > k]
-        for i, left in tail:
-            for j, right in tail:
-                if j < i:
-                    continue
-                delta = left * right / pivot
-                rows[i][j] = rows[i].get(j, Fraction(0)) - delta
-                if i != j:
-                    rows[j][i] = rows[j].get(i, Fraction(0)) - delta
-    return True
-
-
-def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
-    """Exact determinants of the top-left k x k blocks, k = 1..n."""
-    m = intersection_matrix(g)
-    return tuple(_det([row[:k] for row in m[:k]]) for k in range(1, len(g) + 1))
+    return all(minor * (-1) ** k > 0 for k, minor in enumerate(_minors(g), 1))
 
 
 def is_contractible_minors(g: WeightedDualGraph) -> bool:
-    """Minor-sign form of the contractibility test: sign(minor_k) = (-1)^k."""
-    sign = 1
-    for minor in leading_principal_minors(g):
-        sign = -sign
-        if minor == 0 or (minor > 0) != (sign > 0):
-            return False
-    return True
+    """Minor-sign form of the contractibility test: the same minors pass."""
+    return is_contractible(g)
+
+
+def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
+    """Exact determinants of the top-left k x k blocks, k = 1..n.
+
+    The pivots of the minors pass (O(n) on chains); after a zero minor,
+    where that pass stops, each later k x k block costs O(k^3) in ``_det``.
+    """
+    minors = list(_minors(g))
+    if len(minors) < len(g):
+        m = intersection_matrix(g)
+        minors += [_det([row[:k] for row in m[:k]]) for k in range(len(minors) + 1, len(g) + 1)]
+    return tuple(minors)
 
 
 def _det(m) -> int:
@@ -184,17 +187,13 @@ def _det(m) -> int:
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
                 return 0
+            m[k], m[i], sign = m[i], m[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
 

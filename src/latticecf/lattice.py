@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import expand_hj
-from .errors import DegenerateCone, DomainError, RegularCone, ZeroVector
+from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
 Vec = tuple[int, int]
 
@@ -204,7 +204,7 @@ def polygon(cone: ConeNF) -> ConePolygon:
         a, b = pts[-1], pts[-2]
         pts.append((w * a[0] - b[0], w * a[1] - b[1]))
     if pts[-1] != (-cone.q, cone.p):
-        raise AssertionError(f"chain for {cone} did not close at (-q, p)")
+        raise InternalError(f"chain for {cone} did not close at (-q, p)")
     vertices = (0,) + tuple(n for n, w in enumerate(weights, 1) if w >= 3) + (len(pts) - 1,)
     return ConePolygon(tuple(pts), weights, vertices)
 
@@ -249,7 +249,7 @@ def hull_oracle(cone: ConeNF) -> ConePolygon:
         ax, ay = pts[n]
         w = sx // ax if ax else sy // ay
         if (w * ax, w * ay) != (sx, sy):
-            raise AssertionError(f"chain relation fails at index {n} for {cone}")
+            raise InternalError(f"chain relation fails at index {n} for {cone}")
         weights.append(w)
     return ConePolygon(tuple(pts), tuple(weights), tuple(vertices))
 
@@ -425,7 +425,7 @@ def klein_quotients(p: int, q: int) -> tuple[int, ...]:
     ex = _compact_edge_lengths((1, 0), (q, p))
     ey = _compact_edge_lengths((0, 1), (q, p))
     if len(ex) not in (len(ey), len(ey) + 1):
-        raise AssertionError(f"unexpected hull edge counts {len(ex)}, {len(ey)}")
+        raise InternalError(f"unexpected hull edge counts {len(ex)}, {len(ey)}")
     n = len(ex) + len(ey) - 1
     out = []
     ix = iy = 0
@@ -438,7 +438,7 @@ def klein_quotients(p: int, q: int) -> tuple[int, ...]:
             iy += 1
     leftover = ey[iy:] if ix == len(ex) else ex[ix:]
     if leftover != [1]:
-        raise AssertionError(f"expected one unread edge of length 1, got {leftover}")
+        raise InternalError(f"expected one unread edge of length 1, got {leftover}")
     return tuple(out)
 
 

@@ -134,6 +134,33 @@ def lens_reversed_equal(a: LensSpace, b: LensSpace) -> bool:
     return lens_oriented_equal(lens_reverse(a), b)
 
 
+def _least_rotation(w: tuple[int, ...]) -> int:
+    """Start of the lexicographically least rotation of ``w``.
+
+    Booth's algorithm (1980): a Knuth-Morris-Pratt failure function over
+    ``w + w`` that moves the candidate start whenever a smaller letter
+    breaks a match.  O(n) comparisons where ``min`` over all rotations
+    costs O(n^2).
+    """
+    ww = w + w
+    fail = [-1] * len(ww)
+    k = 0
+    for j in range(1, len(ww)):
+        x = ww[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != ww[k + i + 1]:
+            if x < ww[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != ww[k + i + 1]:  # here i == -1
+            if x < ww[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 @dataclass(frozen=True)
 class CuspCycle:
     """Cyclic weight sequence of a cusp boundary, >= 2 with some entry >= 3.
@@ -150,8 +177,8 @@ class CuspCycle:
             raise InvalidCycle(f"cycle weights must all be >= 2, got {w}")
         if all(x == 2 for x in w):
             raise InvalidCycle("a cusp cycle needs at least one weight >= 3")
-        best = min(w[i:] + w[:i] for i in range(len(w)))
-        object.__setattr__(self, "weights", best)
+        k = _least_rotation(w)
+        object.__setattr__(self, "weights", w[k:] + w[:k])
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -16,6 +16,26 @@ def nested_value(kind, terms):
     return terms[0] + sign * Fraction(1) / nested_value(kind, terms[1:])
 
 
+def fraction_fold(kind, terms):
+    """Reference: the right-to-left ``Fraction`` fold ``eval_terms`` once used."""
+    s = 1 if kind == cf.E else -1
+    terms = tuple(terms)
+    acc = Fraction(terms[-1])
+    for x in reversed(terms[:-1]):
+        if acc == 0:
+            raise cf.DivisionByZero(f"zero tail while evaluating {list(terms)}")
+        acc = x + s / acc
+    return acc
+
+
+def outcome(fn, *args):
+    """Return value, or the type and message of the library error raised."""
+    try:
+        return fn(*args)
+    except cf.DivisionByZero as exc:
+        return (type(exc), str(exc))
+
+
 short_pos = st.lists(st.integers(1, 9), min_size=0, max_size=12)
 
 
@@ -78,6 +98,30 @@ class TestEvaluate:
     def test_division_by_zero_detected(self):
         with pytest.raises(cf.DivisionByZero):
             cf.eval_terms(cf.E, (3, 1, -1))
+
+    @given(
+        st.sampled_from([cf.E, cf.HJ]),
+        st.lists(st.integers(-4, 5), min_size=1, max_size=14),
+    )
+    def test_matches_fraction_fold(self, kind, terms):
+        # small terms of both signs: non-admissible sequences and zero tails
+        assert outcome(cf.eval_terms, kind, terms) == outcome(fraction_fold, kind, terms)
+
+    def test_matches_fraction_fold_on_zero_tails_and_large_terms(self):
+        cases = [
+            (cf.E, (3, 1, -1)),  # tail [1, -1]+ = 0
+            (cf.E, (0,)),
+            (cf.E, (5, 0)),  # last term 0
+            (cf.E, (2, 0, 7)),  # 0 + 1/7 is no zero tail
+            (cf.HJ, (1, 1, 1)),  # tail [1, 1]- = 0
+            (cf.HJ, (2, 1, 1, 1)),
+            (cf.HJ, (0, 2, 1, 1, 3)),
+            (cf.E, (-3, -2, 4, -1)),
+            (cf.HJ, (10**40, -(10**30), 3, 2)),
+        ]
+        for kind, terms in cases:
+            assert outcome(cf.eval_terms, kind, terms) == outcome(fraction_fold, kind, terms)
+        assert outcome(cf.eval_terms, cf.HJ, (1, 1, 1))[0] is cf.DivisionByZero
 
     def test_restrictions_enforced(self):
         with pytest.raises(InvalidSequence):

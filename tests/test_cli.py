@@ -1,10 +1,15 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import latticecf
+from latticecf import cf, lattice
 from latticecf.cli import main
+from latticecf.errors import InternalError
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +29,24 @@ def child_env(**overrides):
     env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+def digit_limit():
+    """CPython's int/str digit limit, or None on interpreters without one."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the int/str digit limit, where there is one, for one block."""
+    limit = digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestCF:
@@ -181,6 +204,15 @@ class TestHarness:
         code, _, err = run_cli(capsys, "cone", "polygon", "11/7", "--oracle")
         assert code == 3 and "mismatch" in err
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        # weights of the wrong cone: the hull chain misses its end point (-q, p)
+        monkeypatch.setattr(lattice, "expand_hj", lambda x: cf.expand_hj(x + 1))
+        with pytest.raises(InternalError):
+            lattice.polygon(lattice.ConeNF(11, 7))
+        code, out, err = run_cli(capsys, "cone", "polygon", "11/7")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: chain for") and "Traceback" not in err
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "latticecf", "cf", "expand", "--kind", "hj", "11/7"],
@@ -210,3 +242,35 @@ class TestHarness:
             for run in runs:
                 assert run.returncode == 0, run.stderr.decode()
             assert runs[0].stdout == runs[1].stdout
+
+
+class TestBeyondDigitLimit:
+    """Integers of 10^4 digits, past CPython's default 4300-digit str limit."""
+
+    def test_expand_ten_thousand_digit_numerator(self, capsys):
+        limit = digit_limit()
+        code, out, err = run_cli(capsys, "cf", "expand", "--kind", "e", "1" + "0" * 10_000 + "/7")
+        assert (code, err) == (0, "")
+        # 10^10000 = 7*a + 4 with a = 142857142857..., then 7/4 = [1,1,3]
+        assert out == "[" + ("142857" * 1667)[:10_000] + ",1,1,3]\n"
+        assert digit_limit() == limit
+
+    def test_cusp_trace_with_ten_thousand_digits(self, capsys):
+        limit = digit_limit()
+        n = 24_000
+        code, out, err = run_cli(capsys, "cusp", "trace", ",".join(["3"] * n))
+        assert (code, err) == (0, "")
+        assert digit_limit() == limit
+        # the trace of [[0,-1],[1,3]]^n is the Lucas number L_2n
+        a, b = 2, 1
+        for _ in range(2 * n):
+            a, b = b, a + b
+        with no_digit_limit():
+            expected = f"{a}\n"
+        assert len(out) > 10_001 and out == expected
+
+    def test_limit_restored_after_usage_error(self, capsys):
+        limit = digit_limit()
+        code, _, err = run_cli(capsys, "cf", "expand", "--kind", "e", "1" + "0" * 5000 + "/x")
+        assert code == 1 and "cannot parse rational" in err
+        assert digit_limit() == limit

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,54 @@ def random_graph(rng, max_vertices=6):
         i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
         edges.append((i, j))
     return G.WeightedDualGraph(verts, tuple(edges))
+
+
+def fraction_elimination_contractible(g):
+    """Reference: sparse symmetric ``Fraction`` elimination without reordering.
+
+    The k-th pivot is minor_k / minor_{k-1}, so the matrix is negative
+    definite iff every pivot is negative.  This was the library's test
+    before the integer minors pass replaced it.
+    """
+    n = len(g)
+    rows = [{} for _ in range(n)]
+    for i, v in enumerate(g.vertices):
+        if v.weight:
+            rows[i][i] = Fraction(v.weight)
+    for i, j in g.edges:
+        if i != j:
+            rows[i][j] = rows[i].get(j, Fraction(0)) + 1
+            rows[j][i] = rows[j].get(i, Fraction(0)) + 1
+    for k in range(n):
+        pivot = rows[k].get(k, Fraction(0))
+        if pivot >= 0:
+            return False
+        tail = [(j, val) for j, val in rows[k].items() if j > k]
+        for i, left in tail:
+            for j, right in tail:
+                if j < i:
+                    continue
+                delta = left * right / pivot
+                rows[i][j] = rows[i].get(j, Fraction(0)) - delta
+                if i != j:
+                    rows[j][i] = rows[j].get(i, Fraction(0)) - delta
+    return True
+
+
+def laplace_det(m):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def block_minors(g):
+    m = [list(row) for row in G.intersection_matrix(g)]
+    return tuple(laplace_det([row[:k] for row in m[:k]]) for k in range(1, len(g) + 1))
 
 
 def minimal_cycles_brute(g, bound=4):
@@ -114,6 +163,39 @@ class TestContractibility:
 
     def test_empty_graph(self):
         assert G.is_contractible(G.chain(()))
+        assert G.leading_principal_minors(G.chain(())) == ()
+
+    def test_singular_leading_block(self):
+        # minor_2 = 0 stops the minors pass; minor_3 comes from the 3 x 3 block
+        g = G.chain((-1, -1, -2))
+        assert G.leading_principal_minors(g) == (-1, 0, 1) == block_minors(g)
+        assert not G.is_contractible(g) and not G.is_contractible_minors(g)
+        hexagon = G.cycle_graph((0, 0, -2, 0, 0, -1))  # zero first minor
+        assert G.leading_principal_minors(hexagon) == block_minors(hexagon)
+
+    def test_against_references_randomized(self):
+        rng = random.Random(20261018)
+        singular = 0
+        for _ in range(1500):
+            g = random_graph(rng)  # loops, multi-edges and zero weights
+            expected = fraction_elimination_contractible(g)
+            assert G.is_contractible(g) == expected
+            assert G.is_contractible_minors(g) == expected
+            minors = G.leading_principal_minors(g)
+            assert minors == block_minors(g)
+            singular += 0 in minors[:-1]
+        assert singular > 100  # the _det fallback after a zero minor is exercised
+
+    def test_long_chains_against_fraction_elimination(self):
+        rng = random.Random(3)
+        for n in (30, 60, 200):
+            weights = [-rng.randint(2, 5) for _ in range(n)]
+            g = G.chain(weights)
+            assert G.is_contractible(g) and fraction_elimination_contractible(g)
+            weights[n // 2] = -1  # a (-1)-curve between two (-2)-curves breaks definiteness
+            weights[n // 2 - 1] = weights[n // 2 + 1] = -2
+            g = G.chain(weights)
+            assert not G.is_contractible(g) and not fraction_elimination_contractible(g)
 
 
 class TestEulerNormalized:

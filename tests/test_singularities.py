@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latticecf import cf, graphs as G, lattice, singularities as S
 from latticecf.errors import CycleTooShort, DomainError, InvalidCycle
@@ -186,6 +187,20 @@ class TestCusp:
         assert S.CuspCycle((3, 2, 2)).weights == (2, 2, 3)
         assert S.CuspCycle((5,)).weights == (5,)
         assert S.CuspCycle((2, 3, 2, 2)) == S.CuspCycle((2, 2, 2, 3))
+        assert S.CuspCycle((3, 2, 3, 2)).weights == (2, 3, 2, 3)
+
+    @given(
+        st.lists(st.integers(2, 5), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.integers(0, 30),
+    )
+    def test_least_rotation_matches_min(self, base, repeats, shift):
+        # repeated bases give periodic words such as (2, 3, 2, 3)
+        w = tuple(base) * repeats
+        shift %= len(w)
+        w = w[shift:] + w[:shift]
+        k = S._least_rotation(w)
+        assert w[k:] + w[:k] == min(w[i:] + w[:i] for i in range(len(w)))
 
     def test_cycle_validation(self):
         with pytest.raises(InvalidCycle):
