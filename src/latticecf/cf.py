@@ -16,9 +16,11 @@ canonical expansions.
 
 The module also implements the involution ``t -> t/(t-1)`` of ``(1, oo)``
 on values and on both kinds of expansions, the conversion between the two
-calculi (for finite data and for eventually periodic data), the staircase
-point diagram whose transpose realises the subtractive involution, and the
-reversal law ``p/q -> p/qbar`` with ``q*qbar = 1 mod p``.
+calculi (for finite data and for eventually periodic data), the block form
+of a subtractive expansion read straight off the Euclidean quotients, the
+staircase point diagram whose transpose realises the subtractive
+involution, and the reversal law ``p/q -> p/qbar`` with
+``q*qbar = 1 mod p``.
 
 Everything is exact: values are ``fractions.Fraction``, terms are Python
 integers of arbitrary size.
@@ -27,6 +29,7 @@ integers of arbitrary size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,13 +43,25 @@ PLUS = "+"
 MINUS = "-"
 
 
+def _ints(values, error=InvalidSequence) -> tuple[int, ...]:
+    """The values as a tuple of Python ints, or ``error`` for anything else.
+
+    Integers and bools (and other types with ``__index__``) are accepted;
+    floats, ``Fraction``s and strings are rejected, not truncated or parsed.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(f"terms must be integers: {exc}") from None
+
+
 def _check_terms(kind: str, terms) -> tuple[int, ...]:
     """Validate the admissibility restrictions for the given calculus.
 
     The first term may be any integer; later terms must be >= 1 in the
     additive calculus and >= 2 in the subtractive one.
     """
-    terms = tuple(int(t) for t in terms)
+    terms = _ints(terms)
     if kind not in KINDS:
         raise InvalidSequence(f"unknown kind {kind!r}")
     if not terms:
@@ -98,8 +113,8 @@ class PeriodicCF:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSequence(f"unknown kind {self.kind!r}")
-        pre = tuple(int(t) for t in self.preperiod)
-        per = tuple(int(t) for t in self.period)
+        pre = _ints(self.preperiod)
+        per = _ints(self.period)
         if not per:
             raise InvalidSequence("empty period")
         # two copies of the period so its first term is checked in stream position
@@ -148,7 +163,7 @@ class Staircase:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = _ints(self.rows)
         if not rows or any(r < 1 for r in rows):
             raise InvalidSequence(f"every staircase row needs >= 1 point: {rows}")
         object.__setattr__(self, "rows", rows)
@@ -214,6 +229,21 @@ def eval_terms(kind: str, terms) -> Fraction:
     return Fraction(num, den)
 
 
+def _quotients(num: int, den: int) -> tuple[int, ...]:
+    """Quotients of the floor-based Euclidean algorithm on num/den, den > 0.
+
+    O(log den) divmods; the last quotient is never 1 unless it is the only
+    one (the remainders satisfy 1/(x - a) > 1 strictly).
+    """
+    terms = []
+    while True:
+        a, rem = divmod(num, den)
+        terms.append(a)
+        if rem == 0:
+            return tuple(terms)
+        num, den = den, rem
+
+
 def expand_e(x) -> CFExpansion:
     """Canonical additive expansion (floor-based Euclidean algorithm).
 
@@ -223,16 +253,27 @@ def expand_e(x) -> CFExpansion:
     (1, 1, 1, 3)
     """
     x = Fraction(x)
-    num, den = x.numerator, x.denominator
+    return CFExpansion(E, _quotients(x.numerator, x.denominator))
+
+
+def hj_terms(p: int, q: int) -> tuple[int, ...]:
+    """Subtractive partial quotients of p/q, q > 0 (ceiling recursion).
+
+    The integer loop behind :func:`expand_hj`, for callers that want the
+    bare tuple: no ``Fraction`` and no admissibility re-check, since every
+    term after the first is >= 2 by construction.  One step per output
+    term, and there are up to p - 1 of them (for p/(p-1)); use
+    :func:`block_form` when the blocks are enough.
+    """
+    if q <= 0:
+        raise DomainError(f"need a positive denominator, got {q}")
     terms = []
     while True:
-        a, rem = divmod(num, den)
+        a = -((-p) // q)
         terms.append(a)
-        if rem == 0:
-            break
-        num, den = den, rem
-    # the remainders satisfy 1/(x - a) > 1 strictly, so a trailing 1 cannot occur
-    return CFExpansion(E, tuple(terms))
+        p, q = q, a * q - p
+        if q == 0:
+            return tuple(terms)
 
 
 def expand_hj(x) -> CFExpansion:
@@ -242,16 +283,44 @@ def expand_hj(x) -> CFExpansion:
     (2, 3, 2, 2)
     """
     x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    terms = []
-    while True:
-        a = -((-num) // den)
-        terms.append(a)
-        rem = a * den - num
-        if rem == 0:
-            break
-        num, den = den, rem
-    return CFExpansion(HJ, tuple(terms))
+    return CFExpansion(HJ, hj_terms(x.numerator, x.denominator))
+
+
+def block_form(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block form of the subtractive expansion of p/q > 1, read off Euclid.
+
+    Returns ``(ms, ns)`` with ``p/q = [(2)^m1, n1+3, (2)^m2, ..., ns+3,
+    (2)^m_{s+1}]-``: the runs and large terms :func:`hj_blocks` reads from
+    ``hj_terms(p, q)``, without that unary expansion.  By the rule of
+    :func:`e_to_hj`, the additive quotients ``a1..an`` give the head
+    ``a1+1`` (a 2 that joins the first run when a1 = 1), the runs
+    ``a_{2k}-1``, the large terms ``a_{2k+1}+2`` and, for odd n >= 3, the
+    last large term ``a_n+1``; an integer p/q is the single term a1.
+    Cost: O(log p) divmods on integers of at most the bit length of p,
+    and s <= n/2 + 1 blocks, however long the unary expansion.
+    """
+    if not 0 < q < p:
+        raise DomainError(f"block form needs p/q > 1 with q > 0, got ({p}, {q})")
+    a = _quotients(p, q)
+    n = len(a)
+    if n == 1:
+        return ((1,), ()) if a[0] == 2 else ((0, 0), (a[0] - 3,))
+    ms: list[int] = []
+    ns: list[int] = []
+    if a[0] == 1:
+        run = 1
+    else:
+        ms.append(0)
+        ns.append(a[0] - 2)
+        run = 0
+    for i in range(1, n, 2):
+        run += a[i] - 1
+        if i + 1 < n:
+            ms.append(run)
+            ns.append(a[i + 1] - (2 if i + 2 == n else 1))
+            run = 0
+    ms.append(run)
+    return tuple(ms), tuple(ns)
 
 
 def canonical_e(terms) -> tuple[int, ...]:
@@ -270,7 +339,7 @@ def e_to_hj(terms) -> tuple[int, ...]:
     for odd length >= 3; a single term is returned unchanged.  All terms
     must be >= 1.
     """
-    terms = tuple(int(t) for t in terms)
+    terms = _ints(terms)
     if not terms or any(t < 1 for t in terms):
         raise InvalidSequence(f"need a nonempty sequence of terms >= 1, got {terms}")
     if len(terms) == 1:
@@ -374,7 +443,7 @@ def hj_blocks(terms) -> tuple[list[tuple[int, int]], int]:
     and returns ``([(m1, n1), ..., (ms, ns)], m_{s+1})``.  Empty runs of 2
     are kept: they carry positional information.
     """
-    terms = tuple(int(t) for t in terms)
+    terms = _ints(terms)
     if any(t < 2 for t in terms):
         raise InvalidSequence(f"block form needs all terms >= 2, got {terms}")
     blocks = []
@@ -412,7 +481,7 @@ def involute_hj(terms) -> tuple[int, ...]:
 
 def staircase(terms) -> Staircase:
     """Point diagram of a subtractive sequence: row k holds terms[k]-1 points."""
-    terms = tuple(int(t) for t in terms)
+    terms = _ints(terms)
     if not terms or any(t < 2 for t in terms):
         raise InvalidSequence(f"staircase needs all terms >= 2, got {terms}")
     return Staircase(tuple(t - 1 for t in terms))
@@ -437,5 +506,5 @@ def reverse_hj(p: int, q: int) -> tuple[tuple[int, ...], Fraction]:
     """
     if not (0 < q < p) or math.gcd(p, q) != 1:
         raise DomainError(f"need 0 < q < p coprime, got ({p}, {q})")
-    rev = tuple(reversed(expand_hj(Fraction(p, q)).terms))
+    rev = hj_terms(p, q)[::-1]
     return rev, eval_terms(HJ, rev)

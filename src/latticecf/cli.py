@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -118,7 +119,14 @@ def _report_doc(rep: lattice.DualityReport) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process and reused by every ``main``.
+
+    Parsing leaves no state on it, and usage errors and help text look up
+    ``sys.stderr``/``sys.stdout`` when written, so redirected streams still
+    receive them.
+    """
     top = _Parser(prog="latticecf", description=__doc__)
     sub = top.add_subparsers(dest="group", required=True)
 

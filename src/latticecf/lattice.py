@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import expand_hj
+from .cf import hj_terms
 from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
 Vec = tuple[int, int]
@@ -198,7 +198,7 @@ def polygon(cone: ConeNF) -> ConePolygon:
     """
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
-    weights = expand_hj(Fraction(cone.p, cone.q)).terms
+    weights = hj_terms(cone.p, cone.q)
     pts = [(1, 0), (0, 1)]
     for w in weights:
         a, b = pts[-1], pts[-2]

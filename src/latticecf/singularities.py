@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import MINUS, continuant, expand_e, expand_hj, hj_blocks, involute_hj
+from .cf import MINUS, _ints, block_form, continuant, expand_e, hj_blocks, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
@@ -69,12 +69,17 @@ class LensSpace:
 
 def hj_resolution(t: HJType) -> WeightedDualGraph:
     """Minimal-resolution chain: weights -a_1, ..., -a_r for p/q = [a_1..a_r]-."""
-    return chain(-a for a in expand_hj(Fraction(t.p, t.q)).terms)
+    return chain(-a for a in hj_terms(t.p, t.q))
 
 
 def embdim(t: HJType) -> int:
-    """Embedding dimension by the closed formula 3 + sum(a_i - 2)."""
-    return 3 + sum(a - 2 for a in expand_hj(Fraction(t.p, t.q)).terms)
+    """Embedding dimension by the closed formula 3 + sum(a_i - 2).
+
+    Only the large terms ``n_i + 3`` of the block form contribute, so this
+    is ``3 + sum(n_i + 1)``: O(log p) divmods on integers of the bit length
+    of p, however long the chain.
+    """
+    return 3 + sum(n + 1 for n in block_form(t.p, t.q)[1])
 
 
 def embdim_oracle(t: HJType) -> int:
@@ -104,12 +109,21 @@ def blowup_types(t: HJType) -> tuple[HJType | None, ...]:
     each straight gap of integral length l between consecutive extracted
     rays leaves a cyclic quotient point of type (l, l-1), reported as None
     (smooth) when l = 1.  A chain of length one is resolved outright.
+
+    The large terms sit at the cumulative run lengths of the block form, so
+    this costs O(log p) divmods on integers of the bit length of p plus
+    one entry per gap, not one step per chain curve.
     """
-    weights = expand_hj(Fraction(t.p, t.q)).terms
-    r = len(weights)
+    ms, _ = block_form(t.p, t.q)
+    large = []
+    pos = 0
+    for m in ms[:-1]:
+        pos += m + 1
+        large.append(pos)
+    r = pos + ms[-1]
     if r == 1:
         return ()
-    drawn = sorted({1, r} | {n for n, w in enumerate(weights, 1) if w >= 3})
+    drawn = sorted({1, r, *large})
     out: list[HJType | None] = []
     for a, b in zip(drawn, drawn[1:]):
         gap = b - a
@@ -172,7 +186,7 @@ class CuspCycle:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
+        w = _ints(self.weights, InvalidCycle)
         if not w or any(x < 2 for x in w):
             raise InvalidCycle(f"cycle weights must all be >= 2, got {w}")
         if all(x == 2 for x in w):
@@ -216,16 +230,12 @@ def cusp_dual(c: CuspCycle) -> CuspCycle:
     """
     w = c.weights
     pivot = max(i for i, x in enumerate(w) if x >= 3)
-    rotated = w[pivot + 1:] + w[:pivot + 1]
+    # the rotated word ends in a weight >= 3, so its last run is empty
+    blocks, _ = hj_blocks(w[pivot + 1:] + w[:pivot + 1])
     out: list[int] = []
-    run = 0
-    for x in rotated:
-        if x == 2:
-            run += 1
-        else:
-            out.append(run + 3)
-            out.extend([2] * (x - 3))
-            run = 0
+    for m, n in blocks:
+        out.append(m + 3)
+        out.extend([2] * n)
     return CuspCycle(tuple(out))
 
 
@@ -268,40 +278,32 @@ def resolve_monomial(p: int, q: int) -> CurveResolution:
     if q < 2:
         raise DomainError("x^p = y^q is singular only for q >= 2")
     _check_pq(p, q, "a monomial curve")
-    side = expand_hj(Fraction(p, p - q)).terms
-    blocks, m_last = hj_blocks(side)
-    ms = [m for m, _ in blocks] + [m_last]
-    ns = [n for _, n in blocks]
-    s = len(ns)
-    dual_side = involute_hj(side)
-    r, rp = len(side), len(dual_side)
-
-    label = [0] * (r + 1)  # chain positions A_1..A_r then the apex
-    dual_label = [0] * (rp - 1)  # kept supplementary positions
-    counter, ri, li = 1, 0, 0
-    for i in range(s + 1):
-        for _ in range(ms[i] + 1):
-            label[ri] = counter
-            counter += 1
-            ri += 1
-        if i < s:
-            for _ in range(ns[i] + 1):
-                dual_label[li] = counter
-                counter += 1
-                li += 1
-
-    n = r + rp
-    weights = [0] * n
-    for k in range(r):
-        weights[label[k] - 1] = -side[k]
-    weights[label[r] - 1] = -1
-    for j in range(rp - 1):
-        weights[dual_label[j] - 1] = -dual_side[j + 1]
-    edges = [(label[k] - 1, label[k + 1] - 1) for k in range(r)]
-    edges += [(dual_label[j] - 1, dual_label[j + 1] - 1) for j in range(rp - 2)]
-    edges.append((dual_label[rp - 2] - 1, label[r] - 1))
-    verts = tuple(Vertex(0, weights[k], f"E_{k + 1}") for k in range(n))
-    return CurveResolution(WeightedDualGraph(verts, tuple(edges), (label[r] - 1,)))
+    ms, ns = block_form(p, p - q)
+    s = len(ns)  # >= 1: p/(p-q) = [(2)^m] would mean q = 1
+    # Labels follow the order of appearance: block i gives ms[i] + 1 chain
+    # curves (weights -2, then the large term -(ns[i] + 3)), then ns[i] + 1
+    # curves of the supplementary chain, weighted by the involution block
+    # rule without its first term: (2)^ns[i], then ms[i+1] + 3, or
+    # ms[s] + 2 after the last block.  The last run ends at the -1 apex.
+    weights: list[int] = []
+    chain_ids: list[int] = []
+    dual_ids: list[int] = []
+    for i in range(s):
+        k = len(weights)
+        chain_ids.extend(range(k, k + ms[i] + 1))
+        weights += [-2] * ms[i] + [-(ns[i] + 3)]
+        k = len(weights)
+        dual_ids.extend(range(k, k + ns[i] + 1))
+        weights += [-2] * ns[i] + [-(ms[i + 1] + (2 if i == s - 1 else 3))]
+    k = len(weights)
+    chain_ids.extend(range(k, k + ms[s] + 1))
+    weights += [-2] * ms[s] + [-1]
+    apex = chain_ids[-1]
+    edges = list(zip(chain_ids, chain_ids[1:]))
+    edges += zip(dual_ids, dual_ids[1:])
+    edges.append((dual_ids[-1], apex))
+    verts = tuple(Vertex(0, w, f"E_{k + 1}") for k, w in enumerate(weights))
+    return CurveResolution(WeightedDualGraph(verts, tuple(edges), (apex,)))
 
 
 def blowup_oracle(p: int, q: int) -> CurveResolution:

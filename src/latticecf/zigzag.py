@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import canonical_e, expand_hj, hj_blocks
+from .cf import block_form, canonical_e
 from .errors import DomainError
 
 READINGS = ("hj_lambda", "hj_involute", "e_involute", "e_lambda")
@@ -50,13 +50,17 @@ class ZigzagDiagram:
 
 
 def build(value) -> ZigzagDiagram:
-    """Construct the diagram of a rational number > 1 from its block form."""
+    """Construct the diagram of a rational number > 1 from its block form.
+
+    The block form comes straight from the Euclidean quotients
+    (:func:`latticecf.cf.block_form`), so this costs O(log p) divmods on
+    integers of the bit length of p and O(s) further steps, however long
+    the unary expansion of the value is.
+    """
     value = Fraction(value)
     if value <= 1:
         raise DomainError(f"zigzag diagrams need a value > 1, got {value}")
-    blocks, m_last = hj_blocks(expand_hj(value).terms)
-    ms = [m for m, _ in blocks] + [m_last]
-    ns = [n for _, n in blocks]
+    ms, ns = block_form(value.numerator, value.denominator)
     s = len(ns)
     right_edges = tuple(m + 1 for m in ms)
     right_weights = tuple(n + 3 for n in ns)

@@ -19,6 +19,11 @@ def _verdict(name, failures, note=""):
     assert not failures, f"{name}: {len(failures)} failures, first: {failures[:3]}"
 
 
+def _elapsed(start):
+    """Wall time since ``start``, for the verdict line (not a gate)."""
+    return f"{time.perf_counter() - start:.2f} s"
+
+
 def _coprime(limit, q_min=1):
     for p in range(q_min + 1, limit + 1):
         for q in range(q_min, p):
@@ -69,6 +74,7 @@ def test_criterion_2_hull_oracle_equivalence():
 
 
 def test_criterion_3_duality():
+    start = time.perf_counter()
     bad = []
     for p, q in _coprime(200):
         c = lattice.ConeNF(p, q)
@@ -91,10 +97,11 @@ def test_criterion_3_duality():
                 bad.append(("vertex-set equality", p, q))
         if lattice.dual_cone(c) != lattice.supplementary(c):
             bad.append(("dual vs supplementary", p, q))
-    _verdict("criterion 3: supplementary duality p <= 200", bad)
+    _verdict("criterion 3: supplementary duality p <= 200", bad, _elapsed(start))
 
 
 def test_criterion_4_cf_identities():
+    start = time.perf_counter()
     rng = random.Random(20260809)
     bad = []
     for k in range(10_000):
@@ -136,10 +143,11 @@ def test_criterion_4_cf_identities():
             bad.append(("sweep involute hj", p, q))
         if cf.staircase_dual(cf.staircase(h.terms)) != hj_image:
             bad.append(("sweep staircase", p, q))
-    _verdict("criterion 4: cf identities, 10^4 random + p <= 500 sweep", bad)
+    _verdict("criterion 4: cf identities, 10^4 random + p <= 500 sweep", bad, _elapsed(start))
 
 
 def test_criterion_5_cusp_suite():
+    start = time.perf_counter()
     rng = random.Random(97)
     bad = []
     for _ in range(10_000):
@@ -167,10 +175,11 @@ def test_criterion_5_cusp_suite():
     m6 = S.cusp_monodromy(S.CuspCycle((2, 3, 2, 2)))
     if m4.a + m4.d != 4 or m6.a + m6.d != 6:
         bad.append(("spot traces", None))
-    _verdict("criterion 5: cusp monodromy suite, 10^4 random cycles", bad)
+    _verdict("criterion 5: cusp monodromy suite, 10^4 random cycles", bad, _elapsed(start))
 
 
 def test_criterion_6_curve_resolution():
+    start = time.perf_counter()
     bad = []
     for p, q in _coprime(60, q_min=2):
         res = S.resolve_monomial(p, q)
@@ -184,10 +193,11 @@ def test_criterion_6_curve_resolution():
             bad.append(("arrow", p, q))
         if not G.is_contractible(G.WeightedDualGraph(g.vertices, g.edges)):
             bad.append(("contractible", p, q))
-    _verdict("criterion 6: curve resolution vs blow-up oracle, p <= 60", bad)
+    _verdict("criterion 6: curve resolution vs blow-up oracle, p <= 60", bad, _elapsed(start))
 
 
 def test_criterion_7_embedding_dimension():
+    start = time.perf_counter()
     bad = []
     for p, q in _coprime(100):
         t = S.HJType(p, q)
@@ -199,10 +209,11 @@ def test_criterion_7_embedding_dimension():
     for n in range(1, 51):
         if S.embdim(S.HJType(n + 1, n)) != 3:
             bad.append(("A_n", n))
-    _verdict("criterion 7: embedding dimension p <= 100", bad)
+    _verdict("criterion 7: embedding dimension p <= 100", bad, _elapsed(start))
 
 
 def test_criterion_8_lens_classification():
+    start = time.perf_counter()
     bad = []
     if not S.lens_oriented_equal(S.LensSpace(11, 7), S.LensSpace(11, 8)):
         bad.append(("L(11,7) = L(11,8)", None))
@@ -224,10 +235,11 @@ def test_criterion_8_lens_classification():
             reversed_same = S.lens_reversed_equal(a, b)
             if reversed_same != (p == p2 and q2 in ((p - q) % p, (p - qbar) % p)):
                 bad.append(("reversal", (p, q), (p2, q2)))
-    _verdict("criterion 8: lens classification p <= 50", bad)
+    _verdict("criterion 8: lens classification p <= 50", bad, _elapsed(start))
 
 
 def test_criterion_9_negative_definiteness():
+    start = time.perf_counter()
     bad = []
     for p, q in _coprime(300):
         if not G.is_contractible(S.hj_resolution(S.HJType(p, q))):
@@ -241,7 +253,7 @@ def test_criterion_9_negative_definiteness():
         bad.append(("loop counterexample passed", None))
     if G.euler_normalized(counterexample, 0) != -1:
         bad.append(("normalized euler", None))
-    _verdict("criterion 9: negative definiteness", bad)
+    _verdict("criterion 9: negative definiteness", bad, _elapsed(start))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from latticecf import cf
-from latticecf.errors import DomainError, InvalidSequence
+from latticecf import cf, singularities as S
+from latticecf.errors import DomainError, InvalidCycle, InvalidSequence
 
 
 def nested_value(kind, terms):
@@ -375,3 +376,137 @@ class TestIdentityRules:
         assert cf.hj_blocks((2, 3, 2, 2)) == ([(1, 0)], 2)
         assert cf.hj_blocks((3, 4)) == ([(0, 0), (0, 1)], 0)
         assert cf.hj_blocks((2, 2)) == ([], 2)
+
+
+def unary_blocks(p, q):
+    """Reference: the block form read by ``hj_blocks`` off the unary expansion."""
+    blocks, m_last = cf.hj_blocks(cf.expand_hj(Fraction(p, q)).terms)
+    return tuple(m for m, _ in blocks) + (m_last,), tuple(n for _, n in blocks)
+
+
+@st.composite
+def random_above_one(draw, max_bits=2000, max_unary=10**6):
+    """A pair p > q >= 1 (not always coprime) of up to ``max_bits`` bits.
+
+    Drawn uniformly through a seeded ``Random`` rather than by Hypothesis's
+    boundary-seeking integers, whose favourite q = p - 1 has a unary
+    expansion of p - 1 terms; the rare uniform draw with more than
+    ``max_unary`` unary terms is discarded.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.getrandbits(draw(st.integers(1, max_bits))) + 2
+    q = rng.randrange(1, p)
+    assume(sum(cf._quotients(p, q)) <= max_unary)
+    return p, q
+
+
+class TestBlockForm:
+    def test_paper_examples(self):
+        assert cf.block_form(11, 7) == ((1, 2), (0,))  # [2,3,2,2]
+        assert cf.block_form(11, 4) == ((0, 0, 0), (0, 1))  # [3,4]
+        assert cf.block_form(2, 1) == ((1,), ())  # [2]
+        assert cf.block_form(7, 1) == ((0, 0), (4,))  # [7]
+        assert cf.block_form(5, 4) == ((4,), ())  # [2,2,2,2]
+
+    def test_sweep_matches_unary_reading(self):
+        for p in range(2, 150):
+            for q in range(1, p):
+                assert cf.block_form(p, q) == unary_blocks(p, q), (p, q)
+
+    @given(random_above_one())
+    def test_random_matches_unary_reading(self, pq):
+        assert cf.block_form(*pq) == unary_blocks(*pq)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=400))
+    @example([1, 1])  # a1 = 1, even length: [(2)^a2]
+    @example([1, 3, 2])  # a1 = 1, odd length
+    @example([5, 2])  # even length: a trailing run
+    @example([4, 1, 3])  # odd length: the last large term is a_n + 1
+    @example([9])  # an integer: one term
+    def test_quotients_match_unary_reading(self, a):
+        # any additive sequence, made canonical and > 1
+        if a[-1] == 1:
+            a[-1] = 2
+        x = cf.eval_terms(cf.E, a)
+        assert cf.expand_e(x).terms == tuple(a)
+        assert cf.block_form(x.numerator, x.denominator) == unary_blocks(x.numerator, x.denominator)
+
+    def test_huge_quotients_stay_blocks(self):
+        # [3, 10^500, 4, 10^400, 5]+ = [4, (2)^(10^500-1), 6, (2)^(10^400-1), 6]-
+        x = cf.eval_terms(cf.E, (3, 10**500, 4, 10**400, 5))
+        ms, ns = cf.block_form(x.numerator, x.denominator)
+        assert ms == (0, 10**500 - 1, 10**400 - 1, 0)
+        assert ns == (1, 3, 3)
+        n = 10**1000
+        assert cf.block_form(n + 1, n) == ((n,), ())
+
+    def test_domain(self):
+        for p, q in ((3, 3), (2, 0), (1, 2), (5, -1)):
+            with pytest.raises(DomainError):
+                cf.block_form(p, q)
+
+
+class TestHJTerms:
+    def test_matches_ceiling_recursion(self):
+        for num in range(-30, 60):
+            for den in range(1, 25):
+                x, want = Fraction(num, den), []
+                while True:
+                    a = math.ceil(x)
+                    want.append(a)
+                    if a == x:
+                        break
+                    x = 1 / (a - x)
+                assert cf.hj_terms(num, den) == tuple(want), (num, den)
+
+    def test_expand_hj_wraps_it(self):
+        assert cf.expand_hj(Fraction(-7, 3)).terms == cf.hj_terms(-7, 3)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            cf.hj_terms(5, 0)
+        with pytest.raises(DomainError):
+            cf.hj_terms(5, -2)
+
+
+class TestIntegralTerms:
+    """Terms are integers: other numbers and text are refused, never truncated."""
+
+    @pytest.mark.parametrize("bad", [2.0, 2.9, Fraction(5, 2), Fraction(4, 2), "3", None])
+    def test_non_integers_rejected(self, bad):
+        for build in (
+            lambda: cf.CFExpansion(cf.E, (1, bad)),
+            lambda: cf.CFExpansion(cf.HJ, (bad, 2)),
+            lambda: cf.PeriodicCF(cf.E, (bad,), (2,)),
+            lambda: cf.PeriodicCF(cf.HJ, (), (3, bad)),
+            lambda: cf.Staircase((bad, 1)),
+            lambda: cf.e_to_hj((bad, 2)),
+            lambda: cf.hj_to_e((3, bad)),
+            lambda: cf.involute_e((bad, 2)),
+            lambda: cf.involute_hj((2, bad)),
+            lambda: cf.hj_blocks((bad, 3)),
+            lambda: cf.staircase((3, bad)),
+        ):
+            with pytest.raises(InvalidSequence, match="terms must be integers"):
+                build()
+        with pytest.raises(InvalidCycle, match="terms must be integers"):
+            S.CuspCycle((3, bad))
+
+    def test_seed_examples_no_longer_truncated(self):
+        with pytest.raises(InvalidSequence):
+            cf.CFExpansion(cf.E, (Fraction(5, 2), 2.9))
+        with pytest.raises(InvalidSequence):
+            cf.CFExpansion(cf.HJ, ("3", 2))
+        with pytest.raises(InvalidCycle):
+            S.CuspCycle((3.5, 2))
+
+    def test_ints_and_bools_accepted(self):
+        x = cf.CFExpansion(cf.E, (True, 2, 10**40))
+        assert x.terms == (1, 2, 10**40) and all(type(t) is int for t in x.terms)
+        assert cf.CFExpansion(cf.HJ, [False, 2]).terms == (0, 2)
+        assert cf.PeriodicCF(cf.E, (True,), (2,)).preperiod == (1,)
+        assert cf.Staircase((True, 2)).rows == (1, 2)
+        assert cf.e_to_hj((True, True, 3)) == (2, 4)
+        assert cf.hj_blocks((2, True + 2)) == ([(1, 0)], 0)
+        assert S.CuspCycle((True + 2,)).weights == (3,)
+        assert type(S.CuspCycle((True + 2,)).weights[0]) is int

@@ -197,6 +197,26 @@ class TestHarness:
         b = run_cli(capsys, "zigzag", "97/35", "--format", "svg")
         assert a == b
 
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser serves a command, a usage error and another command
+        # exactly as a parser built afresh for each call would
+        from latticecf.cli import _build_parser
+
+        commands = [
+            ("zigzag", "11/7", "--read", "hj-dual"),
+            ("cf", "expand", "--kind", "x", "3/2"),
+            ("sing", "blowup", "11/7"),
+        ]
+        fresh = []
+        for argv in commands:
+            _build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        reused = [run_cli(capsys, *argv) for argv in commands]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0]
+        assert reused[1][2].startswith("usage: latticecf cf expand")
+        assert _build_parser() is _build_parser()
+
     def test_oracle_mismatch_exits_3(self, capsys, monkeypatch):
         from latticecf import cli, lattice
 
@@ -206,7 +226,7 @@ class TestHarness:
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # weights of the wrong cone: the hull chain misses its end point (-q, p)
-        monkeypatch.setattr(lattice, "expand_hj", lambda x: cf.expand_hj(x + 1))
+        monkeypatch.setattr(lattice, "hj_terms", lambda p, q: cf.hj_terms(p + q, q))
         with pytest.raises(InternalError):
             lattice.polygon(lattice.ConeNF(11, 7))
         code, out, err = run_cli(capsys, "cone", "polygon", "11/7")

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from latticecf import cf, graphs as G, lattice, singularities as S
+from latticecf import cf, graphs as G, lattice, singularities as S, zigzag as Z
 from latticecf.errors import CycleTooShort, DomainError, InvalidCycle
 
 
@@ -318,3 +318,135 @@ class TestMonomialCurves:
             S.blowup_oracle(5, 1)
         with pytest.raises(DomainError):
             S.resolve_monomial(6, 4)
+
+
+# The unary bodies that embdim, blowup_types and resolve_monomial had before
+# they read the block form off the Euclidean quotients, kept as oracles.
+
+
+def embdim_unary(t):
+    return 3 + sum(a - 2 for a in cf.expand_hj(Fraction(t.p, t.q)).terms)
+
+
+def blowup_types_unary(t):
+    weights = cf.expand_hj(Fraction(t.p, t.q)).terms
+    r = len(weights)
+    if r == 1:
+        return ()
+    drawn = sorted({1, r} | {n for n, w in enumerate(weights, 1) if w >= 3})
+    out = []
+    for a, b in zip(drawn, drawn[1:]):
+        gap = b - a
+        out.append(None if gap == 1 else S.HJType(gap, gap - 1))
+    return tuple(out)
+
+
+def resolve_monomial_unary(p, q):
+    side = cf.expand_hj(Fraction(p, p - q)).terms
+    blocks, m_last = cf.hj_blocks(side)
+    ms = [m for m, _ in blocks] + [m_last]
+    ns = [n for _, n in blocks]
+    s = len(ns)
+    dual_side = cf.involute_hj(side)
+    r, rp = len(side), len(dual_side)
+    label = [0] * (r + 1)
+    dual_label = [0] * (rp - 1)
+    counter, ri, li = 1, 0, 0
+    for i in range(s + 1):
+        for _ in range(ms[i] + 1):
+            label[ri] = counter
+            counter += 1
+            ri += 1
+        if i < s:
+            for _ in range(ns[i] + 1):
+                dual_label[li] = counter
+                counter += 1
+                li += 1
+    n = r + rp
+    weights = [0] * n
+    for k in range(r):
+        weights[label[k] - 1] = -side[k]
+    weights[label[r] - 1] = -1
+    for j in range(rp - 1):
+        weights[dual_label[j] - 1] = -dual_side[j + 1]
+    edges = [(label[k] - 1, label[k + 1] - 1) for k in range(r)]
+    edges += [(dual_label[j] - 1, dual_label[j + 1] - 1) for j in range(rp - 2)]
+    edges.append((dual_label[rp - 2] - 1, label[r] - 1))
+    verts = tuple(G.Vertex(0, weights[k], f"E_{k + 1}") for k in range(n))
+    return S.CurveResolution(G.WeightedDualGraph(verts, tuple(edges), (label[r] - 1,)))
+
+
+@st.composite
+def random_type(draw, max_bits=2000, max_unary=10**5):
+    """A coprime pair p > q >= 1 of up to ``max_bits`` bits, drawn uniformly
+    through a seeded ``Random`` (see ``test_cf.random_above_one``)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.getrandbits(draw(st.integers(1, max_bits))) + 2
+    q = rng.randrange(1, p)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    assume(p > 1 and sum(cf.expand_e(Fraction(p, q)).terms) <= max_unary)
+    return p, q
+
+
+class TestBlockFormConsumers:
+    def test_sweep_matches_unary_bodies(self):
+        for p, q in coprime_pairs(120):
+            t = S.HJType(p, q)
+            assert S.embdim(t) == embdim_unary(t), (p, q)
+            assert S.blowup_types(t) == blowup_types_unary(t), (p, q)
+            if q >= 2:
+                assert S.resolve_monomial(p, q) == resolve_monomial_unary(p, q), (p, q)
+
+    @given(random_type())
+    def test_random_matches_unary_bodies(self, pq):
+        t = S.HJType(*pq)
+        assert S.embdim(t) == embdim_unary(t)
+        assert S.blowup_types(t) == blowup_types_unary(t)
+
+    @given(random_type(max_bits=200, max_unary=3000))
+    def test_random_curves_match_unary_body(self, pq):
+        p, q = pq
+        assume(q >= 2)
+        assert S.resolve_monomial(p, q) == resolve_monomial_unary(p, q)
+
+    def test_no_unary_expansion_on_thousand_digit_inputs(self, monkeypatch):
+        rng = random.Random(1000)
+        p = rng.randrange(10**999, 10**1000)
+        q = rng.randrange(1, p)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        t = S.HJType(p, q)
+        want = (embdim_unary(t), blowup_types_unary(t), Z.build(Fraction(p, q)))
+
+        def refuse(*args):
+            raise AssertionError("unary expansion requested")
+
+        for module in (cf, lattice, S, Z):
+            for name in ("expand_hj", "hj_terms"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert (S.embdim(t), S.blowup_types(t), Z.build(Fraction(p, q))) == want
+        # (n+1)/n = [(2)^n]-: a chain of 10^999 curves, drawn only at its ends
+        n = 10**999
+        t = S.HJType(n + 1, n)
+        assert S.embdim(t) == 3
+        assert S.blowup_types(t) == (S.HJType(n - 1, n - 2),)
+        d = Z.build(Fraction(n + 1, n))
+        assert d.right_edge_lengths == (n + 1,) and d.left_vertex_weights == (n + 1,)
+
+
+class TestSingularityProperties:
+    @given(st.integers(3, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, p - 1))))
+    def test_resolve_monomial_matches_blowup_oracle(self, pq):
+        p, q = pq
+        assume(math.gcd(p, q) == 1)
+        assert S.resolve_monomial(p, q) == S.blowup_oracle(p, q)
+
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=40), st.integers(0, 39), st.integers(3, 9))
+    def test_cusp_dual_involutive_and_trace_preserving(self, w, at, big):
+        w[at % len(w)] = big  # a cusp cycle needs a weight >= 3
+        c = S.CuspCycle(w)
+        d = S.cusp_dual(c)
+        assert S.cusp_dual(d) == c
+        mc, md = S.cusp_monodromy(c), S.cusp_monodromy(d)
+        assert mc.a + mc.d == md.a + md.d

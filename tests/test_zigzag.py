@@ -1,8 +1,10 @@
 import math
+import random
 import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from latticecf import cf, zigzag
 from latticecf.errors import DomainError
@@ -50,7 +52,42 @@ ZZ(2)
 """
 
 
+def build_unary(value):
+    """The body ``build`` had before it read the block form off Euclid:
+    ``hj_blocks`` over the unary expansion.  Kept as an oracle."""
+    value = Fraction(value)
+    blocks, m_last = cf.hj_blocks(cf.expand_hj(value).terms)
+    ms = [m for m, _ in blocks] + [m_last]
+    ns = [n for _, n in blocks]
+    s = len(ns)
+    right_edges = tuple(m + 1 for m in ms)
+    right_weights = tuple(n + 3 for n in ns)
+    left_edges = (1,) + tuple(n + 1 for n in ns) + (1,)
+    if s == 0:
+        left_weights = (ms[0] + 1,)
+    else:
+        left_weights = (ms[0] + 2,) + tuple(m + 3 for m in ms[1:-1]) + (ms[-1] + 2,)
+    flags = (left_weights[0] >= 3, left_weights[-1] >= 3)
+    return zigzag.ZigzagDiagram(value, right_edges, right_weights, left_edges, left_weights, flags)
+
+
 class TestBuild:
+    def test_sweep_matches_unary_body(self):
+        for p in range(2, 120):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    assert zigzag.build(Fraction(p, q)) == build_unary(Fraction(p, q))
+
+    @given(st.integers(0, 2**32), st.integers(1, 2000))
+    def test_random_matches_unary_body(self, seed, bits):
+        # uniform draws through a seeded Random: Hypothesis's own boundary
+        # values would favour q = p - 1, whose unary expansion has p - 1 terms
+        rng = random.Random(seed)
+        p = rng.getrandbits(bits) + 2
+        x = Fraction(p, rng.randrange(1, p))
+        assume(x > 1 and sum(cf.expand_e(x).terms) <= 10**5)
+        assert zigzag.build(x) == build_unary(x)
+
     def test_11_7(self):
         d = zigzag.build(Fraction(11, 7))
         assert d.right_edge_lengths == (2, 3)
