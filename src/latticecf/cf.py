@@ -290,37 +290,95 @@ def block_form(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Block form of the subtractive expansion of p/q > 1, read off Euclid.
 
     Returns ``(ms, ns)`` with ``p/q = [(2)^m1, n1+3, (2)^m2, ..., ns+3,
-    (2)^m_{s+1}]-``: the runs and large terms :func:`hj_blocks` reads from
-    ``hj_terms(p, q)``, without that unary expansion.  By the rule of
-    :func:`e_to_hj`, the additive quotients ``a1..an`` give the head
-    ``a1+1`` (a 2 that joins the first run when a1 = 1), the runs
-    ``a_{2k}-1``, the large terms ``a_{2k+1}+2`` and, for odd n >= 3, the
-    last large term ``a_n+1``; an integer p/q is the single term a1.
-    Cost: O(log p) divmods on integers of at most the bit length of p,
-    and s <= n/2 + 1 blocks, however long the unary expansion.
+    (2)^m_{s+1}]-``: the pair :func:`hj_blocks` reads from
+    ``hj_terms(p, q)``, here read off the additive quotients by the rule of
+    :func:`e_to_hj`.  Cost: O(log p) divmods on integers of at most the bit
+    length of p, and s <= n/2 + 1 blocks for n quotients, however long the
+    unary expansion.
     """
     if not 0 < q < p:
         raise DomainError(f"block form needs p/q > 1 with q > 0, got ({p}, {q})")
-    a = _quotients(p, q)
-    n = len(a)
-    if n == 1:
-        return ((1,), ()) if a[0] == 2 else ((0, 0), (a[0] - 3,))
+    return _quotient_blocks(_quotients(p, q))
+
+
+def hj_blocks(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedy block form of a subtractive sequence, all terms >= 2.
+
+    Writes ``terms = (2)^m1, n1+3, (2)^m2, n2+3, ..., ns+3, (2)^m_{s+1}``
+    and returns the pair ``((m1, ..., m_{s+1}), (n1, ..., ns))``, the one
+    :func:`block_form` returns for the value.  Empty runs of 2 are kept:
+    they carry positional information.
+    """
+    terms = _ints(terms)
+    if terms and min(terms) < 2:
+        raise InvalidSequence(f"block form needs all terms >= 2, got {terms}")
     ms: list[int] = []
     ns: list[int] = []
-    if a[0] == 1:
-        run = 1
-    else:
-        ms.append(0)
-        ns.append(a[0] - 2)
-        run = 0
-    for i in range(1, n, 2):
-        run += a[i] - 1
-        if i + 1 < n:
+    run = 0
+    for t in terms:
+        if t == 2:
+            run += 1
+        else:
             ms.append(run)
-            ns.append(a[i + 1] - (2 if i + 2 == n else 1))
+            ns.append(t - 3)
             run = 0
     ms.append(run)
     return tuple(ms), tuple(ns)
+
+
+def _quotient_blocks(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block pair of ``[a1..an]+``, terms >= 1, by the rule of :func:`e_to_hj`.
+
+    For odd n the last large term ``a_n+1`` is one less than an interior
+    one; a single term is head and last at once, so it stays ``a1``.  A
+    trailing 1 or a single 1 gives a term below 2, which :func:`_unary`
+    still renders as the right term.
+    """
+    runs = [0] + [x - 1 for x in a[1::2]]
+    big = [a[0] - 2] + [x - 1 for x in a[2::2]]
+    if len(a) % 2:
+        big[-1] -= 1
+        runs.append(0)
+    return _join_end_twos(runs, big)
+
+
+def _join_end_twos(runs: list[int], big: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The block pair of ``(2)^runs[0], big[0]+3, ..., (2)^runs[-1]``, where
+    an end term ``big+3 = 2`` is no large term: it joins the runs beside it."""
+    if big and big[-1] == -1:
+        del big[-1]
+        runs[-2:] = [runs[-2] + 1 + runs[-1]]
+    if big and big[0] == -1:
+        del big[0]
+        runs[:2] = [runs[0] + 1 + runs[1]]
+    return tuple(runs), tuple(big)
+
+
+def _unary(ms, ns) -> tuple[int, ...]:
+    """The terms ``(2)^m1, n1+3, ..., ns+3, (2)^m_{s+1}`` of a block pair."""
+    out: list[int] = []
+    for m, n in zip(ms, ns):
+        out += [2] * m
+        out.append(n + 3)
+    out += [2] * ms[-1]
+    return tuple(out)
+
+
+def _involute_blocks(ms, ns) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block pair of t/(t-1) from the one of t > 1, by the rule of :func:`involute_hj`:
+    runs of 2s and large terms swap roles.  O(s) steps, however long the runs."""
+    if not ns:
+        return _join_end_twos([0, 0], [ms[0] - 2])
+    return _join_end_twos([0, *ns, 0], [ms[0] - 1, *ms[1:-1], ms[-1] - 1])
+
+
+def _edge_lengths(ms, ns) -> tuple[int, ...]:
+    """Additive expansion ``[m1+1, n1+1, ..., ns+1, m_{s+1}+1]+`` of t/(t-1)
+    from the block pair of t > 1: the zigzag edge lengths, alternated."""
+    out = [ms[0] + 1]
+    for n, m in zip(ns, ms[1:]):
+        out += (n + 1, m + 1)
+    return canonical_e(out)
 
 
 def canonical_e(terms) -> tuple[int, ...]:
@@ -340,44 +398,24 @@ def e_to_hj(terms) -> tuple[int, ...]:
     must be >= 1.
     """
     terms = _ints(terms)
-    if not terms or any(t < 1 for t in terms):
+    if not terms or min(terms) < 1:
         raise InvalidSequence(f"need a nonempty sequence of terms >= 1, got {terms}")
-    if len(terms) == 1:
-        return terms
-    out = [terms[0] + 1]
-    for i in range(1, len(terms), 2):
-        out.extend([2] * (terms[i] - 1))
-        if i + 1 < len(terms):
-            last = i + 1 == len(terms) - 1
-            out.append(terms[i + 1] + (1 if last else 2))
-    return tuple(out)
+    return _unary(*_quotient_blocks(terms))
 
 
 def hj_to_e(terms) -> tuple[int, ...]:
-    """Inverse of :func:`e_to_hj` on canonical sequences."""
+    """Inverse of :func:`e_to_hj` on canonical sequences.
+
+    The blocks of t (:func:`hj_blocks`) give the additive expansion of
+    t/(t-1), ``[m1+1, n1+1, ..., ns+1, m_{s+1}+1]+``, and the rule of
+    :func:`involute_e` turns it into the one of t.
+    """
     terms = _check_terms(HJ, terms)
     if len(terms) == 1:
         return terms
     if terms[0] < 2:
         raise InvalidSequence(f"first term must be >= 2 to invert, got {terms[0]}")
-    out = [terms[0] - 1]
-    i = 1
-    while i < len(terms):
-        run = 0
-        while i < len(terms) and terms[i] == 2:
-            run += 1
-            i += 1
-        if i == len(terms):
-            out.append(run + 1)
-        elif i == len(terms) - 1:
-            out.extend([run + 1, terms[i] - 1])
-            i += 1
-        else:
-            if terms[i] < 3:
-                raise InvalidSequence(f"interior term {terms[i]} < 3 at position {i}")
-            out.extend([run + 1, terms[i] - 2])
-            i += 1
-    return tuple(out)
+    return _involute_e(_edge_lengths(*hj_blocks(terms)))
 
 
 def e_to_hj_periodic(x: PeriodicCF) -> PeriodicCF:
@@ -429,32 +467,16 @@ def involute_e(terms) -> tuple[int, ...]:
     terms = _check_terms(E, terms)
     if terms == (1,) or terms[0] < 1:
         raise InvalidSequence(f"need the canonical expansion of some t > 1, got {terms}")
+    return _involute_e(terms)
+
+
+def _involute_e(terms: tuple[int, ...]) -> tuple[int, ...]:
+    """The rule of :func:`involute_e`, on terms already checked."""
     if terms[0] == 1:
         out = (1 + terms[1],) + terms[2:]
     else:
         out = (1, terms[0] - 1) + terms[1:]
     return canonical_e(out)
-
-
-def hj_blocks(terms) -> tuple[list[tuple[int, int]], int]:
-    """Greedy block form of a subtractive sequence.
-
-    Writes ``terms = (2)^m1, n1+3, (2)^m2, n2+3, ..., ns+3, (2)^m_{s+1}``
-    and returns ``([(m1, n1), ..., (ms, ns)], m_{s+1})``.  Empty runs of 2
-    are kept: they carry positional information.
-    """
-    terms = _ints(terms)
-    if any(t < 2 for t in terms):
-        raise InvalidSequence(f"block form needs all terms >= 2, got {terms}")
-    blocks = []
-    run = 0
-    for t in terms:
-        if t == 2:
-            run += 1
-        else:
-            blocks.append((run, t - 3))
-            run = 0
-    return blocks, run
 
 
 def involute_hj(terms) -> tuple[int, ...]:
@@ -468,15 +490,7 @@ def involute_hj(terms) -> tuple[int, ...]:
     terms = _check_terms(HJ, terms)
     if terms[0] < 2:
         raise InvalidSequence(f"need the canonical expansion of some t > 1, got {terms}")
-    blocks, m_last = hj_blocks(terms)
-    if not blocks:
-        return (m_last + 1,)
-    out = []
-    for i, (m, n) in enumerate(blocks):
-        out.append(m + 2 if i == 0 else m + 3)
-        out.extend([2] * n)
-    out.append(m_last + 2)
-    return tuple(out)
+    return _unary(*_involute_blocks(*hj_blocks(terms)))
 
 
 def staircase(terms) -> Staircase:

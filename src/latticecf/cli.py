@@ -4,9 +4,10 @@ Every subcommand prints exact integers/rationals or canonical JSON/DOT/SVG
 text: no floats, no timestamps, keys sorted, so output is byte-identical
 across runs and platforms.  Exit codes: 0 success, 1 usage error, 2 domain
 error, 3 oracle mismatch (commands with --oracle recompute through the
-independent brute-force path and fail loudly on disagreement) or failed
-internal invariant.  Integers of any length are read and printed: CPython's
-int/str digit limit is lifted while ``main`` runs.
+independent brute-force path and fail loudly on disagreement), failed
+internal invariant or any other exception, reported on one line.
+Integers of any length are read and printed: CPython's int/str digit
+limit is lifted while ``main`` runs.
 """
 
 from __future__ import annotations
@@ -62,16 +63,17 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _polygon_doc(cone: lattice.ConeNF, chain: lattice.ConePolygon) -> dict:
+def _chain_doc(chain: lattice.ConePolygon) -> dict:
     return {
-        "schema": "lattice-cf/1",
-        "type": "polygon",
-        "p": cone.p,
-        "q": cone.q,
         "points": [list(pt) for pt in chain.points],
         "weights": list(chain.weights),
         "vertices": list(chain.vertex_indices),
     }
+
+
+def _polygon_doc(cone: lattice.ConeNF, chain: lattice.ConePolygon) -> dict:
+    doc = {"schema": "lattice-cf/1", "type": "polygon", "p": cone.p, "q": cone.q}
+    return doc | _chain_doc(chain)
 
 
 def _report_doc(rep: lattice.DualityReport) -> dict:
@@ -82,11 +84,7 @@ def _report_doc(rep: lattice.DualityReport) -> dict:
         "q": rep.cone.q,
         "dual_p": rep.dual.p,
         "dual_q": rep.dual.q,
-        "chain": {
-            "points": [list(pt) for pt in rep.chain.points],
-            "weights": list(rep.chain.weights),
-            "vertices": list(rep.chain.vertex_indices),
-        },
+        "chain": _chain_doc(rep.chain),
         "dual_chain": {
             "points": [list(pt) for pt in rep.dual_points],
             "vertices": list(rep.dual_vertex_indices),
@@ -330,6 +328,10 @@ def main(argv=None) -> int:
         except LatticeCFError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
+        except Exception as exc:  # a fault of the program: one line, never a traceback
+            message = " ".join(str(exc).splitlines())
+            sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+            return 3
 
 
 if __name__ == "__main__":

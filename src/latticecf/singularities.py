@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import MINUS, _ints, block_form, continuant, expand_e, hj_blocks, hj_terms
+from .cf import MINUS, _ints, _involute_blocks, _unary, block_form, continuant, expand_e
+from .cf import hj_blocks, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
@@ -222,21 +223,18 @@ def cusp_trace_formula(c: CuspCycle) -> int:
 
 
 def cusp_dual(c: CuspCycle) -> CuspCycle:
-    """Cycle of the supplementary cone: the block rule read cyclically.
+    """Cycle of the supplementary cone: the involution block rule read cyclically.
 
-    Rotating so that the word ends just after a weight >= 3, each block
-    (2)^m, n+3 contributes m+3, (2)^n to the dual.  The map is an
-    involution on cyclic words and preserves the monodromy trace.
+    Cut open so that the word ends in a weight >= 3 (its last run is
+    empty), the cycle maps by the block rule of
+    :func:`latticecf.cf.involute_hj` to a word ``m1+2, ..., 2``; closing it
+    up merges those two end terms into ``m1+3``.  The map is an involution
+    on cyclic words and preserves the monodromy trace.
     """
     w = c.weights
     pivot = max(i for i, x in enumerate(w) if x >= 3)
-    # the rotated word ends in a weight >= 3, so its last run is empty
-    blocks, _ = hj_blocks(w[pivot + 1:] + w[:pivot + 1])
-    out: list[int] = []
-    for m, n in blocks:
-        out.append(m + 3)
-        out.extend([2] * n)
-    return CuspCycle(tuple(out))
+    t = _unary(*_involute_blocks(*hj_blocks(w[pivot + 1:] + w[:pivot + 1])))
+    return CuspCycle((t[0] + 1,) + t[1:-1])
 
 
 @dataclass(frozen=True)

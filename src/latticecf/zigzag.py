@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import block_form, canonical_e
+from .cf import _edge_lengths, _involute_blocks, _involute_e, _unary, block_form
 from .errors import DomainError
 
 READINGS = ("hj_lambda", "hj_involute", "e_involute", "e_lambda")
@@ -87,32 +87,14 @@ def read(d: ZigzagDiagram, which: str) -> tuple[int, ...]:
     """
     ms = [e - 1 for e in d.right_edge_lengths]
     ns = [w - 3 for w in d.right_vertex_weights]
-    s = d.s
     if which == "hj_lambda":
-        out: list[int] = []
-        for i in range(s):
-            out.extend([2] * ms[i])
-            out.append(ns[i] + 3)
-        out.extend([2] * ms[-1])
-        return tuple(out)
+        return _unary(ms, ns)
     if which == "hj_involute":
-        if s == 0:
-            return (ms[0] + 1,)
-        out = [ms[0] + 2]
-        for i in range(s):
-            out.extend([2] * ns[i])
-            out.append(ms[i + 1] + (2 if i == s - 1 else 3))
-        return tuple(out)
+        return _unary(*_involute_blocks(ms, ns))
     if which == "e_involute":
-        out = [ms[0] + 1]
-        for i in range(s):
-            out.extend([ns[i] + 1, ms[i + 1] + 1])
-        return canonical_e(out)
+        return _edge_lengths(ms, ns)
     if which == "e_lambda":
-        inv = list(read(d, "e_involute"))
-        if inv[0] == 1:
-            return canonical_e([1 + inv[1]] + inv[2:])
-        return canonical_e([1, inv[0] - 1] + inv[1:])
+        return _involute_e(_edge_lengths(ms, ns))
     raise DomainError(f"unknown reading {which!r}; choose one of {READINGS}")
 
 
@@ -172,6 +154,9 @@ def _render_ascii(d: ZigzagDiagram) -> str:
     zig = _zig_rows(d)
     baseline = zig[0][0]
     grid: dict[tuple[int, int], str] = {}
+    # a left label of more than 3 digits would reach the chain column: it
+    # starts further left by its overflow, and every line is padded by it
+    pad = max(0, *(len(str(x)) - 3 for x in d.left_vertex_weights + d.left_edge_lengths))
 
     def put(row: int, col: int, text: str):
         for i, ch in enumerate(text):
@@ -208,7 +193,7 @@ def _render_ascii(d: ZigzagDiagram) -> str:
     for j, w in enumerate(d.left_vertex_weights, start=1):
         row = zig[2 * j - 1][0]
         put(row, _LX, "*")
-        put(row, _LX - 5, f"({w})".rjust(4))
+        put(row, _LX - 5 - pad, f"({w})".rjust(4))
     for j, w in enumerate(d.right_vertex_weights, start=1):
         row = zig[2 * j][0]
         put(row, _RX, "*")
@@ -217,7 +202,7 @@ def _render_ascii(d: ZigzagDiagram) -> str:
     # edge lengths beside the runs they decorate
     left_rows = [baseline] + [zig[2 * j - 1][0] for j in range(1, d.s + 2)]
     for length, (lo, hi) in zip(d.left_edge_lengths, zip(left_rows, left_rows[1:])):
-        put((lo + hi) // 2, _LX - 3, str(length).rjust(2))
+        put((lo + hi) // 2, _LX - 3 - pad, str(length).rjust(2))
     put(1, _LX, str(d.left_edge_lengths[-1]))
     right_rows = [baseline] + [zig[2 * j][0] for j in range(1, d.s + 1)] + [_ASH]
     for length, (lo, hi) in zip(d.right_edge_lengths, zip(right_rows, right_rows[1:])):
@@ -227,7 +212,7 @@ def _render_ascii(d: ZigzagDiagram) -> str:
     ncols = max(c for _, c in grid) + 1
     lines = [f"ZZ({d.value})"]
     for r in range(nrows):
-        lines.append("".join(grid.get((r, c), " ") for c in range(ncols)).rstrip())
+        lines.append("".join(grid.get((r, c), " ") for c in range(-pad, ncols)).rstrip())
     return "\n".join(lines) + "\n"
 
 

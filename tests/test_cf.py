@@ -204,6 +204,30 @@ class TestConversions:
         assert cf.eval_terms(cf.HJ, cf.e_to_hj(terms)) == cf.eval_terms(cf.E, terms)
 
 
+def surd_floor(p, d, q):
+    """floor((p + sqrt(d))/q) for a non-square d > 0 and q != 0."""
+    r = math.isqrt(d)  # p + sqrt(d) lies strictly between p + r and p + r + 1
+    return (p + r) // q if q > 0 else (p + r + 1) // q
+
+
+def surd_hj_terms(p, d, q, n):
+    """The first n subtractive terms of (p + sqrt(d))/q, d not a square.
+
+    Ceiling recursion b = ceil(x), x -> 1/(b - x) on x = (p + sqrt(d))/q,
+    kept exact by the invariant q | d - p^2: then 1/(b - x) is
+    (p' + sqrt(d))/q' with p' = b*q - p and q' = (p'^2 - d)/q.
+    """
+    if (d - p * p) % q:
+        p, d, q = p * abs(q), d * q * q, q * abs(q)
+    out = []
+    for _ in range(n):
+        b = surd_floor(p, d, q) + 1  # x is irrational, so ceil(x) = floor(x) + 1
+        out.append(b)
+        p = b * q - p
+        q = (p * p - d) // q
+    return tuple(out)
+
+
 class TestPeriodic:
     def test_golden_ratio_like_stream(self):
         ones = cf.PeriodicCF(cf.E, (), (1,))
@@ -238,6 +262,22 @@ class TestPeriodic:
             finite = cf.e_to_hj(stream.prefix(40))
             # ignore the last couple of tokens, which depend on the cut point
             assert out.prefix(len(finite) - 2) == finite[:-2]
+
+    def test_quadratic_surds_match_sympy_and_ceiling_recursion(self):
+        # (P + sqrt(D))/Q > 1: SymPy's additive period, rewritten, against the
+        # exact subtractive recursion on the surd itself
+        cfp = pytest.importorskip("sympy").ntheory.continued_fraction_periodic
+        shapes = ((0, 1), (1, 2), (-20, -2), (5, 4), (-1, 3), (-30, -7))
+        checked = 0
+        for d in range(2, 201, 4):  # SymPy takes ~30 ms a surd
+            p, q = shapes[d // 4 % 6]
+            if math.isqrt(d) ** 2 == d or surd_floor(p, d, q) < 1:
+                continue
+            *pre, per = cfp(p, q, d)
+            stream = cf.PeriodicCF(cf.E, tuple(pre), tuple(per))
+            assert cf.e_to_hj_periodic(stream).prefix(60) == surd_hj_terms(p, d, q, 60), (p, d, q)
+            checked += 1
+        assert checked > 40
 
     def test_kind_checked(self):
         with pytest.raises(InvalidSequence):
@@ -373,15 +413,14 @@ class TestIdentityRules:
         assert cf.canonical_e((5,)) == (5,)
 
     def test_hj_blocks(self):
-        assert cf.hj_blocks((2, 3, 2, 2)) == ([(1, 0)], 2)
-        assert cf.hj_blocks((3, 4)) == ([(0, 0), (0, 1)], 0)
-        assert cf.hj_blocks((2, 2)) == ([], 2)
+        assert cf.hj_blocks((2, 3, 2, 2)) == ((1, 2), (0,))
+        assert cf.hj_blocks((3, 4)) == ((0, 0, 0), (0, 1))
+        assert cf.hj_blocks((2, 2)) == ((2,), ())
 
 
 def unary_blocks(p, q):
     """Reference: the block form read by ``hj_blocks`` off the unary expansion."""
-    blocks, m_last = cf.hj_blocks(cf.expand_hj(Fraction(p, q)).terms)
-    return tuple(m for m, _ in blocks) + (m_last,), tuple(n for _, n in blocks)
+    return cf.hj_blocks(cf.expand_hj(Fraction(p, q)).terms)
 
 
 @st.composite
@@ -507,6 +546,148 @@ class TestIntegralTerms:
         assert cf.PeriodicCF(cf.E, (True,), (2,)).preperiod == (1,)
         assert cf.Staircase((True, 2)).rows == (1, 2)
         assert cf.e_to_hj((True, True, 3)) == (2, 4)
-        assert cf.hj_blocks((2, True + 2)) == ([(1, 0)], 0)
+        assert cf.hj_blocks((2, True + 2)) == ((1, 0), (0,))
         assert S.CuspCycle((True + 2,)).weights == (3,)
         assert type(S.CuspCycle((True + 2,)).weights[0]) is int
+
+
+# The bodies ``e_to_hj``, ``hj_to_e``, ``hj_blocks`` and ``involute_hj`` had
+# before the block rules were written once on the ``(ms, ns)`` pair; kept
+# as oracles.
+
+
+def e_to_hj_walk(terms):
+    terms = cf._ints(terms)
+    if not terms or any(t < 1 for t in terms):
+        raise InvalidSequence(f"need a nonempty sequence of terms >= 1, got {terms}")
+    if len(terms) == 1:
+        return terms
+    out = [terms[0] + 1]
+    for i in range(1, len(terms), 2):
+        out.extend([2] * (terms[i] - 1))
+        if i + 1 < len(terms):
+            last = i + 1 == len(terms) - 1
+            out.append(terms[i + 1] + (1 if last else 2))
+    return tuple(out)
+
+
+def hj_to_e_walk(terms):
+    terms = cf._check_terms(cf.HJ, terms)
+    if len(terms) == 1:
+        return terms
+    if terms[0] < 2:
+        raise InvalidSequence(f"first term must be >= 2 to invert, got {terms[0]}")
+    out = [terms[0] - 1]
+    i = 1
+    while i < len(terms):
+        run = 0
+        while i < len(terms) and terms[i] == 2:
+            run += 1
+            i += 1
+        if i == len(terms):
+            out.append(run + 1)
+        elif i == len(terms) - 1:
+            out.extend([run + 1, terms[i] - 1])
+            i += 1
+        else:
+            if terms[i] < 3:
+                raise InvalidSequence(f"interior term {terms[i]} < 3 at position {i}")
+            out.extend([run + 1, terms[i] - 2])
+            i += 1
+    return tuple(out)
+
+
+def pair_list_blocks(terms):
+    """``([(m1, n1), ..., (ms, ns)], m_{s+1})``: the former shape of ``hj_blocks``."""
+    terms = cf._ints(terms)
+    if any(t < 2 for t in terms):
+        raise InvalidSequence(f"block form needs all terms >= 2, got {terms}")
+    blocks = []
+    run = 0
+    for t in terms:
+        if t == 2:
+            run += 1
+        else:
+            blocks.append((run, t - 3))
+            run = 0
+    return blocks, run
+
+
+def involute_hj_walk(terms):
+    terms = cf._check_terms(cf.HJ, terms)
+    if terms[0] < 2:
+        raise InvalidSequence(f"need the canonical expansion of some t > 1, got {terms}")
+    blocks, m_last = pair_list_blocks(terms)
+    if not blocks:
+        return (m_last + 1,)
+    out = []
+    for i, (m, n) in enumerate(blocks):
+        out.append(m + 2 if i == 0 else m + 3)
+        out.extend([2] * n)
+    out.append(m_last + 2)
+    return tuple(out)
+
+
+def result_or_error(fn, *args):
+    """Return value, or the type of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+# any integers, so trailing 1s, single terms and invalid terms all occur;
+# now and then a long run
+raw_terms = st.lists(
+    st.one_of(st.integers(-3, 12), st.sampled_from([2, 2, 1, 500, 10**20])), max_size=14
+)
+long_runs = [(2,) * 10**5, (2,) * 10**5 + (3,), (3,) + (2,) * 10**5 + (5, 2)]
+
+
+class TestBlockRuleOracles:
+    @given(raw_terms)
+    @example([1])
+    @example([2])
+    @example([-3])
+    @example([4, 1])  # a trailing 1
+    @example([1, 1, 1])
+    @example([1, 10**5])  # a run of 10^5 2s
+    @example([3, 10**5, 1])
+    @example([])
+    @example([2, "x"])
+    def test_e_to_hj_matches_walk(self, terms):
+        assert result_or_error(cf.e_to_hj, terms) == result_or_error(e_to_hj_walk, terms)
+
+    @given(raw_terms)
+    @example([1])
+    @example([2])
+    @example([-3])
+    @example([3, 1])
+    @example([1, 3])
+    @example([2, 2])
+    @example([])
+    @example([2, 2.5])
+    def test_hj_to_e_and_involute_hj_match_walks(self, terms):
+        for new, old in ((cf.hj_to_e, hj_to_e_walk), (cf.involute_hj, involute_hj_walk)):
+            assert result_or_error(new, terms) == result_or_error(old, terms), new.__name__
+
+    @given(raw_terms)
+    @example([])
+    @example([2, 2])
+    def test_hj_blocks_matches_pair_list_reading(self, terms):
+        old = result_or_error(pair_list_blocks, terms)
+        if isinstance(old, type):
+            assert result_or_error(cf.hj_blocks, terms) is old
+        else:
+            blocks, m_last = old
+            assert cf.hj_blocks(terms) == (
+                tuple(m for m, _ in blocks) + (m_last,),
+                tuple(n for _, n in blocks),
+            )
+
+    def test_long_runs_match_walks(self):
+        for terms in long_runs:
+            assert cf.hj_to_e(terms) == hj_to_e_walk(terms)
+            assert cf.involute_hj(terms) == involute_hj_walk(terms)
+            e = cf.hj_to_e(terms)
+            assert cf.e_to_hj(e) == e_to_hj_walk(e) == terms

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import latticecf
-from latticecf import cf, lattice
+from latticecf import cf, cli, lattice
 from latticecf.cli import main
 from latticecf.errors import InternalError
 
@@ -232,6 +232,16 @@ class TestHarness:
         code, out, err = run_cli(capsys, "cone", "polygon", "11/7")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: chain for") and "Traceback" not in err
+
+    def test_unexpected_exception_exits_3_on_one_line(self, capsys, monkeypatch):
+        def fault(t):
+            raise ZeroDivisionError("integer division\nor modulo by zero")
+
+        monkeypatch.setattr(cli.sing, "embdim", fault)
+        code, out, err = run_cli(capsys, "sing", "embdim", "11/7")
+        assert (code, out) == (3, "")
+        assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -277,6 +277,37 @@ class TestCusp:
             assert S.CuspCycle(per) == S.cusp_dual(c)
 
 
+def cusp_dual_walk(c):
+    """The body ``cusp_dual`` had before it called ``involute_hj``, with the
+    former ``hj_blocks`` loop inlined.  Kept as an oracle."""
+    w = c.weights
+    pivot = max(i for i, x in enumerate(w) if x >= 3)
+    out = []
+    run = 0
+    for x in w[pivot + 1:] + w[:pivot + 1]:  # ends in a weight >= 3
+        if x == 2:
+            run += 1
+        else:
+            out.append(run + 3)
+            out.extend([2] * (x - 3))
+            run = 0
+    return S.CuspCycle(tuple(out))
+
+
+class TestCuspDualOracle:
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=40), st.integers(0, 39), st.integers(3, 9))
+    def test_matches_walk(self, w, at, big):
+        w[at % len(w)] = big  # a cusp cycle needs a weight >= 3
+        c = S.CuspCycle(w)
+        assert S.cusp_dual(c) == cusp_dual_walk(c)
+
+    def test_long_runs_match_walk(self):
+        n = 10**5
+        for w in ((2,) * n + (3,), (4,) + (2,) * n + (3, 2, 2), (n,), (3, n, 2)):
+            c = S.CuspCycle(w)
+            assert S.cusp_dual(c) == cusp_dual_walk(c)
+
+
 class TestMonomialCurves:
     def test_dual_graph_example(self):
         res = S.resolve_monomial(11, 4)
@@ -343,9 +374,7 @@ def blowup_types_unary(t):
 
 def resolve_monomial_unary(p, q):
     side = cf.expand_hj(Fraction(p, p - q)).terms
-    blocks, m_last = cf.hj_blocks(side)
-    ms = [m for m, _ in blocks] + [m_last]
-    ns = [n for _, n in blocks]
+    ms, ns = cf.hj_blocks(side)
     s = len(ns)
     dual_side = cf.involute_hj(side)
     r, rp = len(side), len(dual_side)

@@ -56,9 +56,7 @@ def build_unary(value):
     """The body ``build`` had before it read the block form off Euclid:
     ``hj_blocks`` over the unary expansion.  Kept as an oracle."""
     value = Fraction(value)
-    blocks, m_last = cf.hj_blocks(cf.expand_hj(value).terms)
-    ms = [m for m, _ in blocks] + [m_last]
-    ns = [n for _, n in blocks]
+    ms, ns = cf.hj_blocks(cf.expand_hj(value).terms)
     s = len(ns)
     right_edges = tuple(m + 1 for m in ms)
     right_weights = tuple(n + 3 for n in ns)
@@ -159,6 +157,17 @@ class TestRender:
     def test_ascii_golden_2(self):
         assert zigzag.render(zigzag.build(2), "ascii") == ZZ_2_ASCII
 
+    @pytest.mark.parametrize(
+        "value, line",
+        [(Fraction(1001, 1000), "     (1001)*     |"), (1003, "       1001|     * (1003)")],
+    )
+    def test_ascii_long_left_labels_leave_the_chain_whole(self, value, line):
+        lines = zigzag.render(zigzag.build(value), "ascii").splitlines()
+        col = lines[-2].index("*")
+        assert lines[-2][col:] == "*--O--*"
+        assert all(row[col] in "*|" for row in lines[4:-1])  # the left chain, apex to baseline
+        assert line in lines
+
     def test_deterministic(self):
         d = zigzag.build(Fraction(97, 35))
         for fmt in ("ascii", "svg"):
@@ -181,3 +190,57 @@ class TestRender:
         assert doc["lambda"] == "11/7" and doc["involute"] == "11/4"
         assert doc["readings"]["hj_lambda"] == [2, 3, 2, 2]
         assert doc["readings"]["e_involute"] == [2, 1, 3]
+
+
+def read_walk(d, which):
+    """The body ``read`` had before it called the block rules of ``cf``.
+    Kept as an oracle."""
+    ms = [e - 1 for e in d.right_edge_lengths]
+    ns = [w - 3 for w in d.right_vertex_weights]
+    s = d.s
+    if which == "hj_lambda":
+        out = []
+        for i in range(s):
+            out.extend([2] * ms[i])
+            out.append(ns[i] + 3)
+        out.extend([2] * ms[-1])
+        return tuple(out)
+    if which == "hj_involute":
+        if s == 0:
+            return (ms[0] + 1,)
+        out = [ms[0] + 2]
+        for i in range(s):
+            out.extend([2] * ns[i])
+            out.append(ms[i + 1] + (2 if i == s - 1 else 3))
+        return tuple(out)
+    if which == "e_involute":
+        out = [ms[0] + 1]
+        for i in range(s):
+            out.extend([ns[i] + 1, ms[i + 1] + 1])
+        return cf.canonical_e(out)
+    if which == "e_lambda":
+        inv = list(read_walk(d, "e_involute"))
+        if inv[0] == 1:
+            return cf.canonical_e([1 + inv[1]] + inv[2:])
+        return cf.canonical_e([1, inv[0] - 1] + inv[1:])
+    raise DomainError(f"unknown reading {which!r}; choose one of {zigzag.READINGS}")
+
+
+class TestReadOracle:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10), st.integers(0, 7))
+    def test_matches_walk(self, blocks, m_last):
+        # every diagram is the one of [(2)^m1, n1+3, ..., ns+3, (2)^m_{s+1}]-
+        assume(blocks or m_last)
+        terms = cf._unary(tuple(m for m, _ in blocks) + (m_last,), tuple(n for _, n in blocks))
+        d = zigzag.build(cf.eval_terms(cf.HJ, terms))
+        for which in zigzag.READINGS:
+            assert zigzag.read(d, which) == read_walk(d, which), which
+        with pytest.raises(DomainError):
+            zigzag.read(d, "e_dual")
+
+    def test_long_runs_match_walk(self):
+        n = 10**5
+        for x in (Fraction(n + 1, n), cf.eval_terms(cf.E, (1, n, 3, n)), cf.eval_terms(cf.E, (n, n, 1, 2))):
+            d = zigzag.build(x)
+            for which in zigzag.READINGS:
+                assert zigzag.read(d, which) == read_walk(d, which), (x, which)
