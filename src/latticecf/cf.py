@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._values import Value, _set
 from .errors import DivisionByZero, DomainError, InvalidSequence
 
 E = "e"
@@ -67,25 +67,26 @@ def _check_terms(kind: str, terms) -> tuple[int, ...]:
     if not terms:
         raise InvalidSequence("empty expansion")
     low = 1 if kind == E else 2
-    for t in terms[1:]:
-        if t < low:
-            raise InvalidSequence(f"term {t} < {low} in {kind!r} expansion {terms}")
+    if min(terms[1:], default=low) < low:
+        t = next(t for t in terms[1:] if t < low)  # the first offender names the error
+        raise InvalidSequence(f"term {t} < {low} in {kind!r} expansion {terms}")
     return terms
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(Value):
     """A finite continued fraction of either kind.
 
     ``kind`` is ``"e"`` (additive) or ``"hj"`` (subtractive); ``terms`` is
     the tuple of partial quotients, validated on construction.
     """
 
+    __slots__ = ("kind", "terms")
     kind: str
     terms: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _check_terms(self.kind, self.terms))
+    def __init__(self, kind: str, terms: tuple[int, ...]):
+        _set(self, "kind", kind)
+        _set(self, "terms", _check_terms(kind, terms))
 
     def value(self) -> Fraction:
         return evaluate(self)
@@ -95,8 +96,7 @@ class CFExpansion:
         return "[" + ",".join(str(t) for t in self.terms) + "]" + sign
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(Value):
     """An eventually periodic expansion, stored in normal form.
 
     The stream of partial quotients is ``preperiod`` followed by ``period``
@@ -106,25 +106,27 @@ class PeriodicCF:
     their normal forms are equal componentwise.
     """
 
+    __slots__ = ("kind", "preperiod", "period")
     kind: str
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidSequence(f"unknown kind {self.kind!r}")
-        pre = _ints(self.preperiod)
-        per = _ints(self.period)
+    def __init__(self, kind: str, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if kind not in KINDS:
+            raise InvalidSequence(f"unknown kind {kind!r}")
+        pre = _ints(preperiod)
+        per = _ints(period)
         if not per:
             raise InvalidSequence("empty period")
         # two copies of the period so its first term is checked in stream position
-        _check_terms(self.kind, pre + per + per)
+        _check_terms(kind, pre + per + per)
         per = _primitive_word(per)
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        _set(self, "kind", kind)
+        _set(self, "preperiod", pre)
+        _set(self, "period", per)
 
     def term(self, i: int) -> int:
         """i-th term of the stream, 0-based."""
@@ -151,8 +153,7 @@ def _primitive_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Value):
     """Riemenschneider point diagram: row ``k`` holds ``rows[k]`` points.
 
     Row counts are the subtractive partial quotients minus one; the first
@@ -160,13 +161,14 @@ class Staircase:
     reading column counts gives the dual expansion.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        rows = _ints(self.rows)
+    def __init__(self, rows: tuple[int, ...]):
+        rows = _ints(rows)
         if not rows or any(r < 1 for r in rows):
             raise InvalidSequence(f"every staircase row needs >= 1 point: {rows}")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
 
     def column_offsets(self) -> tuple[int, ...]:
         """Starting column of each row (row k+1 starts under row k's last point)."""

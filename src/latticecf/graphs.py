@@ -17,46 +17,53 @@ normalized ones, which forces this convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._values import Value, _set
 from .errors import Disconnected, DomainError, NotContractible, UnknownVertex
 
 
-@dataclass(frozen=True)
-class Vertex:
-    genus: int = 0
-    weight: int = 0
-    label: str | None = None
+class Vertex(Value):
+    __slots__ = ("genus", "weight", "label")
+    genus: int
+    weight: int
+    label: str | None
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise DomainError(f"genus must be >= 0, got {self.genus}")
+    def __init__(self, genus: int = 0, weight: int = 0, label: str | None = None):
+        if genus < 0:
+            raise DomainError(f"genus must be >= 0, got {genus}")
+        _set(self, "genus", genus)
+        _set(self, "weight", weight)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """A divisor supported on the exceptional components: one integer each."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
+    def __init__(self, coefficients: tuple[int, ...]):
+        _set(self, "coefficients", coefficients)
 
-@dataclass(frozen=True)
-class WeightedDualGraph:
+
+class WeightedDualGraph(Value):
     """Finite multigraph with loops, weighted vertices and arrow markers.
 
     Edges are stored as a sorted multiset of index pairs (i <= j); an edge
     (i, i) is a loop.  Arrows are vertex indices, one per arrowhead.
     """
 
+    __slots__ = ("vertices", "edges", "arrows")
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
-    arrows: tuple[int, ...] = ()
+    arrows: tuple[int, ...]
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...],
+                 arrows: tuple[int, ...] = ()):
+        verts = tuple(vertices)
         n = len(verts)
-        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        arrows = tuple(sorted(self.arrows))
+        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        arrows = tuple(sorted(arrows))
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownVertex(f"edge ({i}, {j}) leaves the vertex range")
@@ -66,9 +73,9 @@ class WeightedDualGraph:
         labels = [v.label for v in verts if v.label is not None]
         if len(labels) != len(set(labels)):
             raise DomainError("vertex labels must be unique when present")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "arrows", arrows)
+        _set(self, "vertices", verts)
+        _set(self, "edges", edges)
+        _set(self, "arrows", arrows)
 
     def __len__(self) -> int:
         return len(self.vertices)

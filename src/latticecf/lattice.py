@@ -28,9 +28,9 @@ Orientation conventions, fixed once for the whole module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._values import Value, _set
 from .cf import hj_terms
 from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
@@ -56,14 +56,20 @@ def integral_length(a: Vec, b: Vec) -> int:
     return math.gcd(b[0] - a[0], b[1] - a[1])
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Value):
     """A 2x2 integer matrix acting on column vectors; unimodular when |det| = 1."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: int
     b: int
     c: int
     d: int
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def apply(self, v: Vec) -> Vec:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
@@ -98,16 +104,18 @@ IDENTITY = Mat2(1, 0, 0, 1)
 SUPPLEMENTARY_MAP = Mat2(-1, -1, 0, 1)
 
 
-@dataclass(frozen=True)
-class ConeNF:
+class ConeNF(Value):
     """Normal form (p, q) of a strictly convex rational cone."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if not (0 <= self.q < self.p) or math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"({self.p}, {self.q}) is not a cone normal form")
+    def __init__(self, p: int, q: int):
+        if not (0 <= q < p) or math.gcd(p, q) != 1:
+            raise DomainError(f"({p}, {q}) is not a cone normal form")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @property
     def is_regular(self) -> bool:
@@ -123,8 +131,7 @@ class ConeNF:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class ConePolygon:
+class ConePolygon(Value):
     """The compact hull chain of a cone, in normal-form coordinates.
 
     ``points`` runs from A_0 = (1, 0) to A_{r+1} = (-q, p); ``weights`` are
@@ -132,9 +139,16 @@ class ConePolygon:
     every interior point of weight >= 3.
     """
 
+    __slots__ = ("points", "weights", "vertex_indices")
     points: tuple[Vec, ...]
     weights: tuple[int, ...]
     vertex_indices: tuple[int, ...]
+
+    def __init__(self, points: tuple[Vec, ...], weights: tuple[int, ...],
+                 vertex_indices: tuple[int, ...]):
+        _set(self, "points", points)
+        _set(self, "weights", weights)
+        _set(self, "vertex_indices", vertex_indices)
 
     @property
     def r(self) -> int:
@@ -266,8 +280,7 @@ def supplementary(cone: ConeNF) -> ConeNF:
     return ConeNF(cone.p, cone.p - cone.q)
 
 
-@dataclass(frozen=True)
-class EdgeImage:
+class EdgeImage(Value):
     """One edge of the hull chain together with its direction point.
 
     ``kind`` is "ray-" (the half-line inside the first cone edge),
@@ -276,6 +289,7 @@ class EdgeImage:
     the supplementary chain, or None if it does not lie on it.
     """
 
+    __slots__ = ("kind", "start", "end", "length", "image", "image_index")
     kind: str
     start: int | None
     end: int | None
@@ -283,9 +297,17 @@ class EdgeImage:
     image: Vec
     image_index: int | None
 
+    def __init__(self, kind: str, start: int | None, end: int | None, length: int | None,
+                 image: Vec, image_index: int | None):
+        _set(self, "kind", kind)
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "length", length)
+        _set(self, "image", image)
+        _set(self, "image_index", image_index)
 
-@dataclass(frozen=True)
-class ExceptionalPoint:
+
+class ExceptionalPoint(Value):
     """Image of the first or last compact edge, with its vertex status.
 
     ``expected_vertex`` applies the weight rule: the image is a vertex iff
@@ -295,6 +317,7 @@ class ExceptionalPoint:
     single edge touching both (type (2, 1) only), it sharpens to >= 3.
     """
 
+    __slots__ = ("edge_start", "edge_end", "length", "image", "is_vertex", "expected_vertex")
     edge_start: int
     edge_end: int
     length: int
@@ -302,15 +325,27 @@ class ExceptionalPoint:
     is_vertex: bool
     expected_vertex: bool
 
+    def __init__(self, edge_start: int, edge_end: int, length: int, image: Vec,
+                 is_vertex: bool, expected_vertex: bool):
+        _set(self, "edge_start", edge_start)
+        _set(self, "edge_end", edge_end)
+        _set(self, "length", length)
+        _set(self, "image", image)
+        _set(self, "is_vertex", is_vertex)
+        _set(self, "expected_vertex", expected_vertex)
 
-@dataclass(frozen=True)
-class DualityReport:
+
+class DualityReport(Value):
     """Edge-to-point matching between a hull chain and its supplementary one.
 
     All coordinates are in the normal frame of ``cone``; the supplementary
     chain is mapped there through :data:`SUPPLEMENTARY_MAP`.
     """
 
+    __slots__ = (
+        "cone", "dual", "chain", "dual_points", "dual_vertex_indices", "images", "exceptional",
+        "images_on_dual", "vertices_covered", "orientation_respected", "exceptional_rule_ok",
+    )
     cone: ConeNF
     dual: ConeNF
     chain: ConePolygon
@@ -322,6 +357,23 @@ class DualityReport:
     vertices_covered: bool
     orientation_respected: bool
     exceptional_rule_ok: bool
+
+    def __init__(self, cone: ConeNF, dual: ConeNF, chain: ConePolygon,
+                 dual_points: tuple[Vec, ...], dual_vertex_indices: tuple[int, ...],
+                 images: tuple[EdgeImage, ...], exceptional: tuple[ExceptionalPoint, ...],
+                 images_on_dual: bool, vertices_covered: bool, orientation_respected: bool,
+                 exceptional_rule_ok: bool):
+        _set(self, "cone", cone)
+        _set(self, "dual", dual)
+        _set(self, "chain", chain)
+        _set(self, "dual_points", dual_points)
+        _set(self, "dual_vertex_indices", dual_vertex_indices)
+        _set(self, "images", images)
+        _set(self, "exceptional", exceptional)
+        _set(self, "images_on_dual", images_on_dual)
+        _set(self, "vertices_covered", vertices_covered)
+        _set(self, "orientation_respected", orientation_respected)
+        _set(self, "exceptional_rule_ok", exceptional_rule_ok)
 
 
 def duality_map(cone: ConeNF) -> DualityReport:

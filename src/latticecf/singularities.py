@@ -25,11 +25,11 @@ Everything here is a consumer of the continued-fraction and cone modules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import MINUS, _ints, _involute_blocks, _unary, block_form, continuant, expand_e
-from .cf import hj_blocks, hj_terms
+from ._values import Value, _set
+from .cf import MINUS, _continuants, _ints, _involute_blocks, _unary, block_form, continuant
+from .cf import expand_e, hj_blocks, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
@@ -40,15 +40,17 @@ def _check_pq(p: int, q: int, what: str):
         raise DomainError(f"{what} needs 1 <= q < p coprime, got ({p}, {q})")
 
 
-@dataclass(frozen=True)
-class HJType:
+class HJType(Value):
     """Cyclic quotient (Hirzebruch-Jung) singularity of type (p, q)."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        _check_pq(self.p, self.q, "a singularity type")
+    def __init__(self, p: int, q: int):
+        _check_pq(p, q, "a singularity type")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def __str__(self) -> str:
         if self.q == self.p - 1:
@@ -56,13 +58,15 @@ class HJType:
         return f"A({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Value):
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        _check_pq(self.p, self.q, "a lens space")
+    def __init__(self, p: int, q: int):
+        _check_pq(p, q, "a lens space")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
@@ -176,24 +180,24 @@ def _least_rotation(w: tuple[int, ...]) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class CuspCycle:
+class CuspCycle(Value):
     """Cyclic weight sequence of a cusp boundary, >= 2 with some entry >= 3.
 
     Stored in canonical rotation (lexicographically least), so equality of
     values is equality of cyclic words.
     """
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        w = _ints(self.weights, InvalidCycle)
+    def __init__(self, weights: tuple[int, ...]):
+        w = _ints(weights, InvalidCycle)
         if not w or any(x < 2 for x in w):
             raise InvalidCycle(f"cycle weights must all be >= 2, got {w}")
         if all(x == 2 for x in w):
             raise InvalidCycle("a cusp cycle needs at least one weight >= 3")
         k = _least_rotation(w)
-        object.__setattr__(self, "weights", w[k:] + w[:k])
+        _set(self, "weights", w[k:] + w[:k])
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -205,13 +209,15 @@ class CuspCycle:
 def cusp_monodromy(c: CuspCycle) -> Mat2:
     """Monodromy of the boundary torus fibration over one period.
 
-    The ordered product of [[0, -1], [1, a]] over the cycle; determinant 1
-    and trace >= 3.
+    The ordered product of [[0, -1], [1, a]] over the cycle a_1..a_r, which
+    is ``[[-Z(a_2..a_{r-1}), -Z(a_2..a_r)], [Z(a_1..a_{r-1}), Z(a_1..a_r)]]``
+    in subtractive continuants (the rows follow the tail recursion); two
+    integer folds, no matrix per weight.  Determinant 1 and trace >= 3.
     """
-    m = Mat2(1, 0, 0, 1)
-    for a in c.weights:
-        m = m.compose(Mat2(0, -1, 1, a))
-    return m
+    w = c.weights
+    head, inner, _ = _continuants(-1, w[:-1])  # Z(a_1..a_{r-1}), Z(a_2..a_{r-1})
+    full, tail, _ = _continuants(-1, w)  # Z(a_1..a_r), Z(a_2..a_r)
+    return Mat2(-inner, -tail, head, full)
 
 
 def cusp_trace_formula(c: CuspCycle) -> int:
@@ -237,8 +243,7 @@ def cusp_dual(c: CuspCycle) -> CuspCycle:
     return CuspCycle((t[0] + 1,) + t[1:-1])
 
 
-@dataclass(frozen=True)
-class CurveResolution:
+class CurveResolution(Value):
     """Dual graph of the total transform of a monomial plane curve.
 
     Vertices are the exceptional curves in order of appearance (vertex k
@@ -246,18 +251,19 @@ class CurveResolution:
     single arrowhead, which represents the strict transform.
     """
 
+    __slots__ = ("graph",)
     graph: WeightedDualGraph
 
-    def __post_init__(self):
-        g = self.graph
-        if len(g.arrows) != 1:
+    def __init__(self, graph: WeightedDualGraph):
+        if len(graph.arrows) != 1:
             raise DomainError("a curve resolution carries exactly one arrowhead")
-        minus_one = [i for i, v in enumerate(g.vertices) if v.weight == -1]
-        if len(minus_one) != 1 or g.arrows[0] != minus_one[0]:
+        minus_one = [i for i, v in enumerate(graph.vertices) if v.weight == -1]
+        if len(minus_one) != 1 or graph.arrows[0] != minus_one[0]:
             raise DomainError("the arrowhead must sit on the unique -1 vertex")
-        want = {f"E_{k + 1}" for k in range(len(g))}
-        if {v.label for v in g.vertices} != want:
+        want = {f"E_{k + 1}" for k in range(len(graph))}
+        if {v.label for v in graph.vertices} != want:
             raise DomainError("vertex labels must be E_1..E_N")
+        _set(self, "graph", graph)
 
     def __len__(self) -> int:
         return len(self.graph)

@@ -17,17 +17,16 @@ computations of :mod:`latticecf.cf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._values import Value, _set
 from .cf import _edge_lengths, _involute_blocks, _involute_e, _unary, block_form
 from .errors import DomainError
 
 READINGS = ("hj_lambda", "hj_involute", "e_involute", "e_lambda")
 
 
-@dataclass(frozen=True)
-class ZigzagDiagram:
+class ZigzagDiagram(Value):
     """Decorated double chain of a rational number > 1.
 
     ``right_edge_lengths``/``right_vertex_weights`` describe the chain of
@@ -36,12 +35,26 @@ class ZigzagDiagram:
     left points are genuine vertices (weight >= 3) of their chain.
     """
 
+    __slots__ = (
+        "value", "right_edge_lengths", "right_vertex_weights", "left_edge_lengths",
+        "left_vertex_weights", "extreme_is_vertex",
+    )
     value: Fraction
     right_edge_lengths: tuple[int, ...]
     right_vertex_weights: tuple[int, ...]
     left_edge_lengths: tuple[int, ...]
     left_vertex_weights: tuple[int, ...]
     extreme_is_vertex: tuple[bool, bool]
+
+    def __init__(self, value: Fraction, right_edge_lengths: tuple[int, ...],
+                 right_vertex_weights: tuple[int, ...], left_edge_lengths: tuple[int, ...],
+                 left_vertex_weights: tuple[int, ...], extreme_is_vertex: tuple[bool, bool]):
+        _set(self, "value", value)
+        _set(self, "right_edge_lengths", right_edge_lengths)
+        _set(self, "right_vertex_weights", right_vertex_weights)
+        _set(self, "left_edge_lengths", left_edge_lengths)
+        _set(self, "left_vertex_weights", left_vertex_weights)
+        _set(self, "extreme_is_vertex", extreme_is_vertex)
 
     @property
     def s(self) -> int:

@@ -134,6 +134,18 @@ class TestEvaluate:
         # first term is unrestricted
         assert cf.CFExpansion(cf.E, (-3, 1, 2)).value() == Fraction(-7, 3)
 
+    def test_restriction_message_names_the_first_offender(self):
+        # the check takes the minimum; the message still names the first bad term
+        with pytest.raises(InvalidSequence) as exc:
+            cf.CFExpansion(cf.HJ, (3, 1, 0))
+        assert str(exc.value) == "term 1 < 2 in 'hj' expansion (3, 1, 0)"
+        with pytest.raises(InvalidSequence) as exc:
+            cf.hj_to_e((5, 3, 0, 2, 1))
+        assert str(exc.value) == "term 0 < 2 in 'hj' expansion (5, 3, 0, 2, 1)"
+        with pytest.raises(InvalidSequence) as exc:
+            cf.involute_e((4, 2, -1, 0))
+        assert str(exc.value) == "term -1 < 1 in 'e' expansion (4, 2, -1, 0)"
+
 
 class TestExpand:
     def test_paper_examples(self):

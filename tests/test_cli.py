@@ -253,6 +253,20 @@ class TestHarness:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[2,3,2,2]\n"
 
+    def test_cold_start_imports_no_code_generation(self):
+        # dataclasses (and the inspect it pulls in) cost ~30 ms of every CLI process
+        probe = (
+            "import sys; bare = set(sys.modules); import latticecf.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "latticecf.cli" in added
+        assert {"dataclasses", "inspect"}.isdisjoint(added), sorted(added)
+
     def test_cross_process_determinism(self):
         # separate interpreters get different hash seeds; output must not care
         commands = [

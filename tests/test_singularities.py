@@ -308,6 +308,30 @@ class TestCuspDualOracle:
             assert S.cusp_dual(c) == cusp_dual_walk(c)
 
 
+def monodromy_product(c):
+    """The body ``cusp_monodromy`` had before the continuant fold: one
+    ``Mat2`` per weight, multiplied in order.  Kept as an oracle."""
+    m = lattice.Mat2(1, 0, 0, 1)
+    for a in c.weights:
+        m = m.compose(lattice.Mat2(0, -1, 1, a))
+    return m
+
+
+class TestMonodromyOracle:
+    def test_matches_product_on_random_cycles(self):
+        rng = random.Random(2024)
+        for n in [1, 2, 3] * 20 + [rng.randint(4, 60) for _ in range(200)] + [500, 1000, 2999, 3000]:
+            w = [rng.choice((2, 2, 2, 3, 4, rng.randint(2, 10**6))) for _ in range(n)]
+            w[rng.randrange(n)] = rng.randint(3, 12)
+            c = S.CuspCycle(tuple(w))
+            assert S.cusp_monodromy(c) == monodromy_product(c)
+
+    def test_matches_product_on_long_runs_of_twos(self):
+        for w in ((3,), (2,) * 3000 + (3,), (2,) * 1500 + (5,) + (2,) * 1499):
+            c = S.CuspCycle(w)
+            assert S.cusp_monodromy(c) == monodromy_product(c)
+
+
 class TestMonomialCurves:
     def test_dual_graph_example(self):
         res = S.resolve_monomial(11, 4)

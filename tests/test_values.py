@@ -1,0 +1,158 @@
+"""The contract every value class of the package keeps.
+
+Value objects are slotted and immutable: equality and hashing go by class
+and fields, ``repr`` has the ``Name(field=value, ...)`` form, assignment
+and deletion raise ``AttributeError``, constructors take their fields by
+position or keyword and normalise them, and ``pickle``/``copy`` round-trip.
+"""
+
+import copy
+import inspect
+import pickle
+from fractions import Fraction
+
+import pytest
+
+import latticecf
+from latticecf import _values, cf, graphs as G, lattice as L, singularities as S, zigzag as Z
+
+EXAMPLES = {
+    "CFExpansion": lambda: cf.expand_hj(Fraction(11, 7)),
+    "PeriodicCF": lambda: cf.PeriodicCF(cf.E, (1, 2, 3), (2, 3, 2, 3)),
+    "Staircase": lambda: cf.staircase((2, 3, 2, 2)),
+    "Mat2": lambda: L.Mat2(1, -1, 0, 1),
+    "ConeNF": lambda: L.ConeNF(11, 7),
+    "ConePolygon": lambda: L.polygon(L.ConeNF(5, 2)),
+    "EdgeImage": lambda: L.duality_map(L.ConeNF(5, 2)).images[1],
+    "ExceptionalPoint": lambda: L.duality_map(L.ConeNF(5, 2)).exceptional[0],
+    "DualityReport": lambda: L.duality_map(L.ConeNF(3, 2)),
+    "Vertex": lambda: G.Vertex(1, -2, "E_1"),
+    "Cycle": lambda: G.fundamental_cycle(G.chain((-2, -2))),
+    "WeightedDualGraph": lambda: G.WeightedDualGraph((G.Vertex(0, -2), G.Vertex(0, -3)), ((1, 0),), (1,)),
+    "HJType": lambda: S.HJType(5, 2),
+    "LensSpace": lambda: S.LensSpace(5, 2),
+    "CuspCycle": lambda: S.CuspCycle((3, 2, 2)),
+    "CurveResolution": lambda: S.resolve_monomial(3, 2),
+    "ZigzagDiagram": lambda: Z.build(Fraction(11, 7)),
+}
+
+# the text @dataclass(frozen=True) gave these objects
+REPRS = {
+    'CFExpansion': "CFExpansion(kind='hj', terms=(2, 3, 2, 2))",
+    'PeriodicCF': "PeriodicCF(kind='e', preperiod=(1,), period=(2, 3))",
+    'Staircase': 'Staircase(rows=(1, 2, 1, 1))',
+    'Mat2': 'Mat2(a=1, b=-1, c=0, d=1)',
+    'ConeNF': 'ConeNF(p=11, q=7)',
+    'ConePolygon': 'ConePolygon(points=((1, 0), (0, 1), (-1, 3), (-2, 5)), weights=(3, 2), vertex_indices=(0, 1, 3))',
+    'EdgeImage': "EdgeImage(kind='compact', start=0, end=1, length=1, image=(-1, 1), image_index=1)",
+    'ExceptionalPoint': 'ExceptionalPoint(edge_start=0, edge_end=1, length=1, image=(-1, 1), is_vertex=False, expected_vertex=False)',
+    'DualityReport': "DualityReport(cone=ConeNF(p=3, q=2), dual=ConeNF(p=3, q=1), chain=ConePolygon(points=((1, 0), (0, 1), (-1, 2), (-2, 3)), weights=(2, 2), vertex_indices=(0, 3)), dual_points=((-1, 0), (-1, 1), (-2, 3)), dual_vertex_indices=(0, 1, 2), images=(EdgeImage(kind='ray-', start=None, end=None, length=None, image=(-1, 0), image_index=0), EdgeImage(kind='compact', start=0, end=3, length=3, image=(-1, 1), image_index=1), EdgeImage(kind='ray+', start=None, end=None, length=None, image=(-2, 3), image_index=2)), exceptional=(ExceptionalPoint(edge_start=0, edge_end=3, length=3, image=(-1, 1), is_vertex=True, expected_vertex=True),), images_on_dual=True, vertices_covered=True, orientation_respected=True, exceptional_rule_ok=True)",
+    'Vertex': "Vertex(genus=1, weight=-2, label='E_1')",
+    'Cycle': 'Cycle(coefficients=(1, 1))',
+    'WeightedDualGraph': 'WeightedDualGraph(vertices=(Vertex(genus=0, weight=-2, label=None), Vertex(genus=0, weight=-3, label=None)), edges=((0, 1),), arrows=(1,))',
+    'HJType': 'HJType(p=5, q=2)',
+    'LensSpace': 'LensSpace(p=5, q=2)',
+    'CuspCycle': 'CuspCycle(weights=(2, 2, 3))',
+    'CurveResolution': "CurveResolution(graph=WeightedDualGraph(vertices=(Vertex(genus=0, weight=-3, label='E_1'), Vertex(genus=0, weight=-2, label='E_2'), Vertex(genus=0, weight=-1, label='E_3')), edges=((0, 2), (1, 2)), arrows=(2,)))",
+    'ZigzagDiagram': 'ZigzagDiagram(value=Fraction(11, 7), right_edge_lengths=(2, 3), right_vertex_weights=(3,), left_edge_lengths=(1, 1, 1), left_vertex_weights=(3, 4), extreme_is_vertex=(True, True))',
+}
+
+
+def value_classes():
+    """Every value class the package's modules define."""
+    found = set()
+    for module in (cf, G, L, S, Z):
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, _values.Value) and obj is not _values.Value:
+                found.add(obj.__name__)
+    return found
+
+
+def test_examples_cover_every_value_class():
+    assert value_classes() == set(EXAMPLES) == set(REPRS)
+    assert len(EXAMPLES) == 17
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+class TestContract:
+    def test_equality_and_hash_agree(self, name):
+        x, y = EXAMPLES[name](), EXAMPLES[name]()
+        assert x is not y
+        assert x == y and not x != y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+    def test_other_classes_are_not_equal(self, name):
+        x = EXAMPLES[name]()
+        for other_name, make in EXAMPLES.items():
+            if other_name != name:
+                other = make()
+                assert x != other and not x == other
+                assert x.__eq__(other) is NotImplemented
+        assert x != tuple(getattr(x, field) for field in type(x).__slots__)  # nor to its fields
+
+    def test_assignment_and_deletion_raise(self, name):
+        x = EXAMPLES[name]()
+        before = repr(x)
+        for field in type(x).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(x, field, None)
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert repr(x) == before
+
+    def test_repr_unchanged(self, name):
+        assert repr(EXAMPLES[name]()) == REPRS[name]
+
+    def test_pickle_and_copy_round_trip(self, name):
+        x = EXAMPLES[name]()
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_hj_type_is_not_a_lens_space():
+    assert S.HJType(5, 2) != S.LensSpace(5, 2)
+    assert S.HJType(5, 2) == S.HJType(5, 2)
+
+
+def test_keyword_construction_and_defaults():
+    assert G.Vertex(weight=-2) == G.Vertex(0, -2, None)
+    assert G.Vertex() == G.Vertex(0, 0)
+    verts = (G.Vertex(weight=-2), G.Vertex(weight=-2))
+    g = G.WeightedDualGraph(vertices=verts, edges=((0, 1),))
+    assert g.arrows == () and g == G.WeightedDualGraph(verts, ((0, 1),), ())
+    assert L.ConeNF(q=2, p=5) == L.ConeNF(5, 2)
+    assert cf.CFExpansion(terms=(1, 2), kind=cf.E).terms == (1, 2)
+    with pytest.raises(TypeError):
+        L.ConeNF(5, 2, r=1)
+    match L.Mat2(1, 2, 3, 4):
+        case L.Mat2(a, b, c, d=4):
+            assert (a, b, c) == (1, 2, 3)
+
+
+def test_constructors_normalise_once_and_survive_pickling():
+    c = S.CuspCycle((3, 2, 2, 4))
+    assert c.weights == (2, 2, 4, 3) and c == S.CuspCycle((4, 3, 2, 2))
+    x = cf.PeriodicCF(cf.HJ, [5, 2, 3, 2, 3], [2, 3, 2, 3])
+    assert (x.preperiod, x.period) == ((5,), (2, 3))
+    g = G.WeightedDualGraph((G.Vertex(), G.Vertex(), G.Vertex()), [[2, 1], (1, 0), (0, 0)], [2, 0])
+    assert g.edges == ((0, 0), (0, 1), (1, 2)) and g.arrows == (0, 2)
+    assert cf.CFExpansion(cf.E, [True, 2]).terms == (1, 2)
+    for obj in (c, x, g):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_constructors_still_validate():
+    with pytest.raises(latticecf.DomainError):
+        G.Vertex(genus=-1)
+    with pytest.raises(latticecf.DomainError):
+        L.ConeNF(4, 2)
+    with pytest.raises(latticecf.DomainError):
+        S.LensSpace(5, 0)
+    with pytest.raises(latticecf.UnknownVertex):
+        G.WeightedDualGraph((G.Vertex(),), ((0, 1),))
+    with pytest.raises(latticecf.DomainError):
+        S.CurveResolution(G.chain((-1, -2)))
