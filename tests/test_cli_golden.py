@@ -174,10 +174,34 @@ DOMAIN_ERRORS = [
 ]
 
 
+HELP = [
+    ("cone", "--help"),
+    ("sing", "--help"),
+    ("lens", "--help"),
+    ("cusp", "--help"),
+    ("curve", "--help"),
+    ("cf", "convert", "--help"),
+    ("cf", "involute", "--help"),
+    ("cf", "staircase", "--help"),
+    ("cone", "type", "--help"),
+    ("cone", "polygon", "--help"),
+    ("cone", "dual", "--help"),
+    ("cone", "duality-report", "--help"),
+    ("sing", "resolve", "--help"),
+    ("sing", "embdim", "--help"),
+    ("sing", "blowup", "--help"),
+    ("lens", "compare", "--help"),
+    ("lens", "reverse", "--help"),
+    ("cusp", "monodromy", "--help"),
+    ("cusp", "trace", "--help"),
+    ("cusp", "dual", "--help"),
+]
+
+
 def golden_deck() -> list[tuple[str, ...]]:
     """Three commands per coprime pair 1 <= q < p < 30, rotating through every
-    command and flag, then 200-bit inputs, usage errors and domain errors;
-    each command once."""
+    command and flag, then 200-bit inputs, usage errors, domain errors and
+    the help text of every group and command; each command once."""
     deck = []
     for i, (p, q) in enumerate(_pairs()):
         x = f"{p}/{q}"
@@ -185,7 +209,7 @@ def golden_deck() -> list[tuple[str, ...]]:
         deck.append(("cf", "expand", "--kind", "e" if i % 2 else "hj", x))
         deck.append(("zigzag", x, *ZIGZAG_FLAGS[i % len(ZIGZAG_FLAGS)]))
         deck.append(commands[i % len(commands)])
-    return list(dict.fromkeys(deck + _big() + USAGE_ERRORS + DOMAIN_ERRORS))
+    return list(dict.fromkeys(deck + _big() + USAGE_ERRORS + DOMAIN_ERRORS + HELP))
 
 
 def outcome_hash(argv) -> str:
