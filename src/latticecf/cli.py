@@ -32,10 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        if any(c in text for c in ".eE"):  # Fraction reads "1e10000000" as 10^10000000
+            raise ValueError(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SystemExit(_usage_error(f"cannot parse rational {text!r}; use P/Q or an integer"))
-    return value
 
 
 def _usage_error(message: str) -> int:
@@ -55,12 +56,11 @@ def _bracket(terms) -> str:
 
 
 def _cone(text: str) -> lattice.ConeNF:
-    value = _rational(text)
-    return lattice.ConeNF(value.numerator, value.denominator)
+    return lattice.ConeNF(*_rational(text).as_integer_ratio())
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _chain_doc(chain: lattice.ConePolygon) -> dict:
@@ -69,11 +69,6 @@ def _chain_doc(chain: lattice.ConePolygon) -> dict:
         "weights": list(chain.weights),
         "vertices": list(chain.vertex_indices),
     }
-
-
-def _polygon_doc(cone: lattice.ConeNF, chain: lattice.ConePolygon) -> dict:
-    doc = {"schema": "lattice-cf/1", "type": "polygon", "p": cone.p, "q": cone.q}
-    return doc | _chain_doc(chain)
 
 
 def _report_doc(rep: lattice.DualityReport) -> dict:
@@ -117,190 +112,188 @@ def _report_doc(rep: lattice.DualityReport) -> dict:
     }
 
 
+class _OracleMismatch(Exception):
+    """An --oracle recomputation disagrees with the answer; ``main`` exits 3."""
+
+
+def _checked(args, fast, oracle, *inputs, what: str):
+    """``fast(*inputs)``, once ``oracle(*inputs)`` agrees with it if --oracle is given."""
+    answer = fast(*inputs)
+    if args.oracle and answer != oracle(*inputs):
+        raise _OracleMismatch(what)
+    return answer
+
+
+def _graph_text(args, graph: graphs.WeightedDualGraph) -> str:
+    return graphs.to_dot(graph) if args.format == "dot" else graphs.to_json(graph) + "\n"
+
+
+def _matrix(m: lattice.Mat2) -> str:
+    (a, b), (c, d) = m.rows()
+    return f"[[{a},{b}],[{c},{d}]]"
+
+
+def _hj_type(text: str) -> sing.HJType:
+    return sing.HJType(*_rational(text).as_integer_ratio())
+
+
+def _cycle(text: str) -> sing.CuspCycle:
+    return sing.CuspCycle(_terms(text))
+
+
+# Handlers take the parsed arguments and return stdout text; one-liners live in _build_parser.
+def _expand(args) -> str:
+    expand = cf.expand_e if args.kind == "e" else cf.expand_hj
+    return _bracket(expand(_rational(args.value)).terms) + "\n"
+
+
+def _convert(args) -> str:
+    terms = _terms(args.terms)
+    return _bracket(cf.e_to_hj(terms) if args.target == "hj" else cf.hj_to_e(terms)) + "\n"
+
+
+def _involute(args) -> str:
+    value = cf.involute(_rational(args.value))
+    if not args.terms:
+        return f"{value}\n"
+    e, hj = cf.expand_e(value).terms, cf.expand_hj(value).terms
+    return f"{value}\ne: {_bracket(e)}\nhj: {_bracket(hj)}\n"
+
+
+def _staircase(args) -> str:
+    diagram = cf.staircase(_terms(args.terms))
+    rows = zip(diagram.column_offsets(), diagram.rows)
+    picture = "".join(" " * off + "*" * count + "\n" for off, count in rows)
+    return picture + "dual: " + _bracket(cf.staircase_dual(diagram)) + "\n"
+
+
+def _cone_type(args) -> str:
+    nf, mat = lattice.cone_normal_form((args.ux, args.uy), (args.vx, args.vy))
+    return f"{nf}\nmap: {_matrix(mat)}\n"
+
+
+def _polygon(args) -> str:
+    cone = _cone(args.value)
+    chain = _checked(args, lattice.polygon, lattice.hull_oracle, cone,
+                     what="hull differs from the recursion chain")
+    doc = {"schema": "lattice-cf/1", "type": "polygon", "p": cone.p, "q": cone.q}
+    return _dump(doc | _chain_doc(chain))
+
+
+_READINGS = {"hj": "hj_lambda", "hj-dual": "hj_involute", "e": "e_lambda", "e-dual": "e_involute"}
+
+
+def _zigzag(args) -> str:
+    diagram = zigzag.build(_rational(args.value))
+    if args.read:
+        return _bracket(zigzag.read(diagram, _READINGS[args.read])) + "\n"
+    if args.format == "json":
+        return _dump(zigzag.to_json_dict(diagram))
+    return zigzag.render(diagram, args.format)
+
+
+def _embdim(args) -> str:
+    dim = _checked(args, sing.embdim, sing.embdim_oracle, _hj_type(args.value),
+                   what="semigroup count differs from the formula")
+    return f"{dim}\n"
+
+
+def _blowup(args) -> str:
+    types = sing.blowup_types(_hj_type(args.value))
+    return "".join(("smooth" if t is None else str(t)) + "\n" for t in types)
+
+
+def _lens_compare(args) -> str:
+    a, b = sing.LensSpace(args.p, args.q), sing.LensSpace(args.p2, args.q2)
+    same = (sing.lens_reversed_equal if args.reverse else sing.lens_oriented_equal)(a, b)
+    relation = "orientation-reversing-diffeomorphic" if args.reverse else "oriented-diffeomorphic"
+    return ("" if same else "not-") + relation + "\n"
+
+
+def _trace(args) -> str:
+    m = sing.cusp_monodromy(_cycle(args.terms))
+    return f"{m.a + m.d}\n"
+
+
+def _curve_resolve(args) -> str:
+    resolution = _checked(args, sing.resolve_monomial, sing.blowup_oracle, args.p, args.q,
+                          what="blow-up simulation differs from the diagram")
+    return _graph_text(args, resolution.graph)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argparse tree, built once per process and reused by every ``main``.
 
-    Parsing leaves no state on it, and usage errors and help text look up
-    ``sys.stderr``/``sys.stdout`` when written, so redirected streams still
-    receive them.
+    Each command is declared once, here: its arguments and, as the ``run``
+    default, its handler.  Handlers look up library functions when called.
+    Parsing leaves no state on the tree, and usage errors and help text
+    look up ``sys.stderr``/``sys.stdout`` when written, so redirected
+    streams still receive them.
     """
     top = _Parser(prog="latticecf", description=__doc__)
-    sub = top.add_subparsers(dest="group", required=True)
+    groups = top.add_subparsers(dest="group", required=True)
 
-    p_cf = sub.add_parser("cf", help="continued-fraction algebra")
-    cf_sub = p_cf.add_subparsers(dest="command", required=True)
-    p = cf_sub.add_parser("expand", help="canonical expansion of a rational")
+    def command(parent, name, help_text, run, *positionals, type=None, flag=None):
+        parser = parent.add_parser(name, help=help_text)
+        parser.set_defaults(run=run)
+        for positional in positionals:
+            parser.add_argument(positional, type=type)
+        if flag:
+            parser.add_argument(flag, action="store_true")
+        return parser
+
+    def group(name, help_text):
+        parser = groups.add_parser(name, help=help_text)
+        return functools.partial(command, parser.add_subparsers(dest="command", required=True))
+
+    cf_cmd = group("cf", "continued-fraction algebra")
+    p = cf_cmd("expand", "canonical expansion of a rational", _expand, "value")
     p.add_argument("--kind", choices=("e", "hj"), required=True)
-    p.add_argument("value")
-    p = cf_sub.add_parser("convert", help="rewrite terms in the other calculus")
+    p = cf_cmd("convert", "rewrite terms in the other calculus", _convert, "terms")
     p.add_argument("--to", choices=("e", "hj"), required=True, dest="target")
-    p.add_argument("terms")
-    p = cf_sub.add_parser("involute", help="value and expansions of x/(x-1)")
-    p.add_argument("value")
-    p.add_argument("--terms", action="store_true")
-    p = cf_sub.add_parser("staircase", help="point diagram of subtractive terms")
-    p.add_argument("terms")
+    cf_cmd("involute", "value and expansions of x/(x-1)", _involute, "value", flag="--terms")
+    cf_cmd("staircase", "point diagram of subtractive terms", _staircase, "terms")
 
-    p_cone = sub.add_parser("cone", help="lattice cone geometry")
-    cone_sub = p_cone.add_subparsers(dest="command", required=True)
-    p = cone_sub.add_parser("type", help="normal form of the cone on two rays")
-    for name in ("ux", "uy", "vx", "vy"):
-        p.add_argument(name, type=int)
-    p = cone_sub.add_parser("polygon", help="hull chain of a cone type")
-    p.add_argument("value")
-    p.add_argument("--oracle", action="store_true")
-    p = cone_sub.add_parser("dual", help="normal form of the dual cone")
-    p.add_argument("value")
-    p = cone_sub.add_parser("duality-report", help="edge-to-point duality data")
-    p.add_argument("value")
+    cone_cmd = group("cone", "lattice cone geometry")
+    cone_cmd("type", "normal form of the cone on two rays", _cone_type,
+             "ux", "uy", "vx", "vy", type=int)
+    cone_cmd("polygon", "hull chain of a cone type", _polygon, "value", flag="--oracle")
+    cone_cmd("dual", "normal form of the dual cone",
+             lambda a: f"{lattice.dual_cone(_cone(a.value))}\n", "value")
+    cone_cmd("duality-report", "edge-to-point duality data",
+             lambda a: _dump(_report_doc(lattice.duality_map(_cone(a.value)))), "value")
 
-    p = sub.add_parser("zigzag", help="zigzag diagram of a rational > 1")
-    p.add_argument("value")
+    p = command(groups, "zigzag", "zigzag diagram of a rational > 1", _zigzag, "value")
     p.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
     p.add_argument("--read", choices=("hj", "hj-dual", "e", "e-dual"))
 
-    p_sing = sub.add_parser("sing", help="cyclic quotient singularities")
-    sing_sub = p_sing.add_subparsers(dest="command", required=True)
-    p = sing_sub.add_parser("resolve", help="minimal resolution chain")
-    p.add_argument("value")
+    sing_cmd = group("sing", "cyclic quotient singularities")
+    p = sing_cmd("resolve", "minimal resolution chain",
+                 lambda a: _graph_text(a, sing.hj_resolution(_hj_type(a.value))), "value")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p = sing_sub.add_parser("embdim", help="embedding dimension")
-    p.add_argument("value")
-    p.add_argument("--oracle", action="store_true")
-    p = sing_sub.add_parser("blowup", help="singularities after one blow-up")
-    p.add_argument("value")
+    sing_cmd("embdim", "embedding dimension", _embdim, "value", flag="--oracle")
+    sing_cmd("blowup", "singularities after one blow-up", _blowup, "value")
 
-    p_lens = sub.add_parser("lens", help="lens space classification")
-    lens_sub = p_lens.add_subparsers(dest="command", required=True)
-    p = lens_sub.add_parser("compare", help="diffeomorphism test")
-    for name in ("p", "q", "p2", "q2"):
-        p.add_argument(name, type=int)
-    p.add_argument("--reverse", action="store_true")
-    p = lens_sub.add_parser("reverse", help="orientation reversal")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    lens_cmd = group("lens", "lens space classification")
+    lens_cmd("compare", "diffeomorphism test", _lens_compare,
+             "p", "q", "p2", "q2", type=int, flag="--reverse")
+    lens_cmd("reverse", "orientation reversal",
+             lambda a: f"{sing.lens_reverse(sing.LensSpace(a.p, a.q))}\n", "p", "q", type=int)
 
-    p_cusp = sub.add_parser("cusp", help="cusp cycles and monodromy")
-    cusp_sub = p_cusp.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("monodromy", "monodromy matrix of a cycle"),
-        ("trace", "monodromy trace"),
-        ("dual", "cycle of the supplementary cone"),
-    ):
-        p = cusp_sub.add_parser(name, help=help_text)
-        p.add_argument("terms")
+    cusp_cmd = group("cusp", "cusp cycles and monodromy")
+    cusp_cmd("monodromy", "monodromy matrix of a cycle",
+             lambda a: _matrix(sing.cusp_monodromy(_cycle(a.terms))) + "\n", "terms")
+    cusp_cmd("trace", "monodromy trace", _trace, "terms")
+    cusp_cmd("dual", "cycle of the supplementary cone",
+             lambda a: f"{sing.cusp_dual(_cycle(a.terms))}\n", "terms")
 
-    p_curve = sub.add_parser("curve", help="monomial plane curves")
-    curve_sub = p_curve.add_subparsers(dest="command", required=True)
-    p = curve_sub.add_parser("resolve", help="embedded resolution dual graph")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    curve_cmd = group("curve", "monomial plane curves")
+    p = curve_cmd("resolve", "embedded resolution dual graph", _curve_resolve, "p", "q", type=int)
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--oracle", action="store_true")
 
     return top
-
-
-def _run(args) -> int:
-    out = sys.stdout
-    if args.group == "cf":
-        if args.command == "expand":
-            expand = cf.expand_e if args.kind == "e" else cf.expand_hj
-            out.write(_bracket(expand(_rational(args.value)).terms) + "\n")
-        elif args.command == "convert":
-            terms = _terms(args.terms)
-            result = cf.e_to_hj(terms) if args.target == "hj" else cf.hj_to_e(terms)
-            out.write(_bracket(result) + "\n")
-        elif args.command == "involute":
-            value = cf.involute(_rational(args.value))
-            out.write(f"{value}\n")
-            if args.terms:
-                out.write("e: " + _bracket(cf.expand_e(value).terms) + "\n")
-                out.write("hj: " + _bracket(cf.expand_hj(value).terms) + "\n")
-        elif args.command == "staircase":
-            diagram = cf.staircase(_terms(args.terms))
-            for off, count in zip(diagram.column_offsets(), diagram.rows):
-                out.write(" " * off + "*" * count + "\n")
-            out.write("dual: " + _bracket(cf.staircase_dual(diagram)) + "\n")
-    elif args.group == "cone":
-        if args.command == "type":
-            nf, mat = lattice.cone_normal_form((args.ux, args.uy), (args.vx, args.vy))
-            out.write(f"{nf}\n")
-            (a, b), (c, d) = mat.rows()
-            out.write(f"map: [[{a},{b}],[{c},{d}]]\n")
-        elif args.command == "polygon":
-            cone = _cone(args.value)
-            chain = lattice.polygon(cone)
-            if args.oracle and chain != lattice.hull_oracle(cone):
-                sys.stderr.write("oracle mismatch: hull differs from the recursion chain\n")
-                return 3
-            out.write(_dump(_polygon_doc(cone, chain)) + "\n")
-        elif args.command == "dual":
-            out.write(f"{lattice.dual_cone(_cone(args.value))}\n")
-        elif args.command == "duality-report":
-            out.write(_dump(_report_doc(lattice.duality_map(_cone(args.value)))) + "\n")
-    elif args.group == "zigzag":
-        diagram = zigzag.build(_rational(args.value))
-        if args.read:
-            key = {
-                "hj": "hj_lambda",
-                "hj-dual": "hj_involute",
-                "e": "e_lambda",
-                "e-dual": "e_involute",
-            }[args.read]
-            out.write(_bracket(zigzag.read(diagram, key)) + "\n")
-        elif args.format == "json":
-            out.write(_dump(zigzag.to_json_dict(diagram)) + "\n")
-        else:
-            out.write(zigzag.render(diagram, args.format))
-    elif args.group == "sing":
-        value = _rational(args.value)
-        t = sing.HJType(value.numerator, value.denominator)
-        if args.command == "resolve":
-            graph = sing.hj_resolution(t)
-            text = graphs.to_dot(graph) if args.format == "dot" else graphs.to_json(graph) + "\n"
-            out.write(text)
-        elif args.command == "embdim":
-            dim = sing.embdim(t)
-            if args.oracle and dim != sing.embdim_oracle(t):
-                sys.stderr.write("oracle mismatch: semigroup count differs from the formula\n")
-                return 3
-            out.write(f"{dim}\n")
-        elif args.command == "blowup":
-            for entry in sing.blowup_types(t):
-                out.write(("smooth" if entry is None else str(entry)) + "\n")
-    elif args.group == "lens":
-        if args.command == "compare":
-            a = sing.LensSpace(args.p, args.q)
-            b = sing.LensSpace(args.p2, args.q2)
-            if args.reverse:
-                same = sing.lens_reversed_equal(a, b)
-                out.write(("" if same else "not-") + "orientation-reversing-diffeomorphic\n")
-            else:
-                same = sing.lens_oriented_equal(a, b)
-                out.write(("" if same else "not-") + "oriented-diffeomorphic\n")
-        elif args.command == "reverse":
-            out.write(f"{sing.lens_reverse(sing.LensSpace(args.p, args.q))}\n")
-    elif args.group == "cusp":
-        cycle = sing.CuspCycle(_terms(args.terms))
-        if args.command == "monodromy":
-            (a, b), (c, d) = sing.cusp_monodromy(cycle).rows()
-            out.write(f"[[{a},{b}],[{c},{d}]]\n")
-        elif args.command == "trace":
-            m = sing.cusp_monodromy(cycle)
-            out.write(f"{m.a + m.d}\n")
-        elif args.command == "dual":
-            out.write(f"{sing.cusp_dual(cycle)}\n")
-    elif args.group == "curve":
-        resolution = sing.resolve_monomial(args.p, args.q)
-        if args.oracle and resolution != sing.blowup_oracle(args.p, args.q):
-            sys.stderr.write("oracle mismatch: blow-up simulation differs from the diagram\n")
-            return 3
-        graph = resolution.graph
-        text = graphs.to_dot(graph) if args.format == "dot" else graphs.to_json(graph) + "\n"
-        out.write(text)
-    return 0
 
 
 @contextlib.contextmanager
@@ -321,7 +314,10 @@ def main(argv=None) -> int:
     with _unlimited_int_digits():
         args = _build_parser().parse_args(argv)
         try:
-            return _run(args)
+            text = args.run(args)
+        except _OracleMismatch as exc:
+            sys.stderr.write(f"oracle mismatch: {exc}\n")
+            return 3
         except InternalError as exc:
             sys.stderr.write(f"internal error: {exc}\n")
             return 3
@@ -332,6 +328,8 @@ def main(argv=None) -> int:
             message = " ".join(str(exc).splitlines())
             sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
             return 3
+        sys.stdout.write(text)
+        return 0
 
 
 if __name__ == "__main__":

@@ -172,9 +172,13 @@ def cone_normal_form(u_minus: Vec, u_plus: Vec) -> tuple[ConeNF, Mat2]:
     if cross(u, v) == 0:
         raise DegenerateCone(f"rays through {u} and {v} do not span a cone")
     # complete u to a basis (u, w) with cross(u, w) = 1, flipping w so that
-    # v = alpha*u + beta*w has beta > 0
-    _, x, y = _ext_gcd(u[0], u[1])
-    w = (-y, x)
+    # v = alpha*u + beta*w has beta > 0; the final shear makes the map the
+    # same whichever such w is taken
+    if u[1]:
+        x = pow(u[0], -1, abs(u[1]))  # u[0]*x = 1 mod u[1]: the division is exact
+        w = ((u[0] * x - 1) // u[1], x)
+    else:  # u = (+-1, 0)
+        w = (0, u[0])
     if cross(u, v) < 0:
         w = (-w[0], -w[1])
     d = cross(u, w)
@@ -186,21 +190,6 @@ def cone_normal_form(u_minus: Vec, u_plus: Vec) -> tuple[ConeNF, Mat2]:
     k = (-q - alpha) // beta
     to_nf = Mat2(1, k, 0, 1).compose(basis)
     return ConeNF(p, q), to_nf
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def polygon(cone: ConeNF) -> ConePolygon:
@@ -478,20 +467,11 @@ def klein_quotients(p: int, q: int) -> tuple[int, ...]:
     ey = _compact_edge_lengths((0, 1), (q, p))
     if len(ex) not in (len(ey), len(ey) + 1):
         raise InternalError(f"unexpected hull edge counts {len(ex)}, {len(ey)}")
-    n = len(ex) + len(ey) - 1
-    out = []
-    ix = iy = 0
-    for k in range(1, n + 1):
-        if k % 2:
-            out.append(ex[ix])
-            ix += 1
-        else:
-            out.append(ey[iy])
-            iy += 1
-    leftover = ey[iy:] if ix == len(ex) else ex[ix:]
-    if leftover != [1]:
-        raise InternalError(f"expected one unread edge of length 1, got {leftover}")
-    return tuple(out)
+    merged = [0] * (len(ex) + len(ey))  # alternately, from the x-side
+    merged[::2], merged[1::2] = ex, ey
+    if merged[-1:] != [1]:
+        raise InternalError(f"expected one unread edge of length 1, got {merged[-1:]}")
+    return tuple(merged[:-1])
 
 
 def _compact_edge_lengths(u_minus: Vec, u_plus: Vec) -> list[int]:

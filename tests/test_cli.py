@@ -73,6 +73,14 @@ class TestCF:
         assert out == "*\n**\n *\n *\ndual: [3,4]\n"
 
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e5", "0.5"])
+    def test_decimals_and_exponents_are_usage_errors(self, capsys, text):
+        # Fraction reads both, and would spend seconds building 10^10000000
+        code, out, err = run_cli(capsys, "cf", "expand", "--kind", "e", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse rational {text!r}; use P/Q or an integer\n"
+
+
 class TestCone:
     def test_type(self, capsys):
         code, out, _ = run_cli(capsys, "cone", "type", "1", "0", "4", "11")
@@ -217,12 +225,30 @@ class TestHarness:
         assert reused[1][2].startswith("usage: latticecf cf expand")
         assert _build_parser() is _build_parser()
 
-    def test_oracle_mismatch_exits_3(self, capsys, monkeypatch):
-        from latticecf import cli, lattice
-
-        monkeypatch.setattr(cli.lattice, "hull_oracle", lambda c: lattice.polygon(lattice.ConeNF(3, 2)))
-        code, _, err = run_cli(capsys, "cone", "polygon", "11/7", "--oracle")
-        assert code == 3 and "mismatch" in err
+    @pytest.mark.parametrize(
+        "module, oracle, wrong, argv, what",
+        [
+            pytest.param(
+                "lattice", "hull_oracle", lambda c: lattice.polygon(lattice.ConeNF(3, 2)),
+                ("cone", "polygon", "11/7"), "hull differs from the recursion chain",
+                id="cone-polygon",
+            ),
+            pytest.param(
+                "sing", "embdim_oracle", lambda t: 0,
+                ("sing", "embdim", "11/7"), "semigroup count differs from the formula",
+                id="sing-embdim",
+            ),
+            pytest.param(
+                "sing", "blowup_oracle", lambda p, q: None,
+                ("curve", "resolve", "11", "4"), "blow-up simulation differs from the diagram",
+                id="curve-resolve",
+            ),
+        ],
+    )
+    def test_oracle_mismatch_exits_3(self, capsys, monkeypatch, module, oracle, wrong, argv, what):
+        assert run_cli(capsys, *argv, "--oracle")[0] == 0
+        monkeypatch.setattr(getattr(cli, module), oracle, wrong)
+        assert run_cli(capsys, *argv, "--oracle") == (3, "", f"oracle mismatch: {what}\n")
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # weights of the wrong cone: the hull chain misses its end point (-q, p)
