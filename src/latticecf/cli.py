@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,12 @@ from .errors import InternalError, LatticeCFError
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A minus and a digit start a value (-5/3, -3,2), never an option: no
+        # option is spelled like a number.  argparse alone passes only -N and -N.N.
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

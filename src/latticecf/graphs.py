@@ -62,7 +62,7 @@ class WeightedDualGraph(Value):
                  arrows: tuple[int, ...] = ()):
         verts = tuple(vertices)
         n = len(verts)
-        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        edges = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in edges]))
         arrows = tuple(sorted(arrows))
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):

@@ -225,33 +225,30 @@ def hull_oracle(cone: ConeNF) -> ConePolygon:
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
     p, q = cone.p, cone.q
-    cand = [(1, 0)]
-    cand += [(-((q * y) // p), y) for y in range(1, p + 1)]
-    hull: list[Vec] = [cand[0]]
-    for pt in cand[1:]:
+    hull: list[Vec] = [(1, 0)]
+    for y in range(1, p + 1):
+        x = -((q * y) // p)
+        # pop while hull[-2] -> hull[-1] -> (x, y) does not turn clockwise
         while len(hull) >= 2:
-            u, v = hull[-2], hull[-1]
-            if cross((v[0] - u[0], v[1] - u[1]), (pt[0] - v[0], pt[1] - v[1])) >= 0:
+            (ux, uy), (vx, vy) = hull[-2], hull[-1]
+            if (vx - ux) * (y - vy) - (vy - uy) * (x - vx) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append(pt)
+        hull.append((x, y))
     # reinstate the lattice points interior to each hull edge
     pts: list[Vec] = [hull[0]]
     vertices = [0]
-    for a, b in zip(hull, hull[1:]):
-        g = math.gcd(b[0] - a[0], b[1] - a[1])
-        sx, sy = (b[0] - a[0]) // g, (b[1] - a[1]) // g
-        for k in range(1, g + 1):
-            pts.append((a[0] + k * sx, a[1] + k * sy))
+    for (ax, ay), (bx, by) in zip(hull, hull[1:]):
+        g = math.gcd(bx - ax, by - ay)
+        sx, sy = (bx - ax) // g, (by - ay) // g
+        pts += [(ax + k * sx, ay + k * sy) for k in range(1, g + 1)]
         vertices.append(len(pts) - 1)
     weights = []
-    for n in range(1, len(pts) - 1):
-        sx = pts[n - 1][0] + pts[n + 1][0]
-        sy = pts[n - 1][1] + pts[n + 1][1]
-        ax, ay = pts[n]
+    for n, ((lx, ly), (ax, ay), (rx, ry)) in enumerate(zip(pts, pts[1:], pts[2:]), 1):
+        sx, sy = lx + rx, ly + ry
         w = sx // ax if ax else sy // ay
-        if (w * ax, w * ay) != (sx, sy):
+        if w * ax != sx or w * ay != sy:
             raise InternalError(f"chain relation fails at index {n} for {cone}")
         weights.append(w)
     return ConePolygon(tuple(pts), tuple(weights), tuple(vertices))

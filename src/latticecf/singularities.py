@@ -102,7 +102,11 @@ def embdim_oracle(t: HJType) -> int:
     c = [0] + [-((-q * x) // p) for x in range(1, p + 1)]
     count = 1  # the generator (0, 1)
     for x in range(1, p + 1):
-        if all(c[u] + c[x - u] > c[x] for u in range(1, x)):
+        cx = c[x]
+        for u in range(1, x):
+            if c[u] + c[x - u] <= cx:
+                break
+        else:
             count += 1
     return count
 
@@ -330,15 +334,16 @@ def blowup_oracle(p: int, q: int) -> CurveResolution:
     weights: list[int] = []
     edges: set[tuple[int, int]] = set()
     while True:
-        through = [c for c in (curve_a, curve_b) if c is not None]
         new = len(weights)
         weights.append(-1)
-        for c in through:
-            weights[c] -= 1
-        if len(through) == 2:
-            edges.discard((min(through), max(through)))
-        for c in through:
-            edges.add((c, new))
+        if curve_a is not None:
+            weights[curve_a] -= 1
+            edges.add((curve_a, new))
+        if curve_b is not None:
+            weights[curve_b] -= 1
+            edges.add((curve_b, new))
+            if curve_a is not None:  # the blow-up separates the two curves
+                edges.discard((curve_a, curve_b) if curve_a < curve_b else (curve_b, curve_a))
         if a == b:
             break
         if a < b:

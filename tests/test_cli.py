@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -224,6 +225,47 @@ class TestHarness:
         assert [code for code, _, _ in reused] == [0, 1, 0]
         assert reused[1][2].startswith("usage: latticecf cf expand")
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("cf", "expand", "--kind", "e", "-3/2"), 0),
+            (("cf", "convert", "--to", "e", "-3,2"), 2),
+            (("cone", "polygon", "-3/2"), 2),
+            (("sing", "resolve", "-5/3"), 2),
+            (("cf", "involute", "--terms", "-3/2"), 2),
+            (("zigzag", "--read", "hj", "-3/2"), 2),
+            (("cusp", "trace", "-3,4"), 2),
+            (("cone", "type", "1", "-2", "-3", "4"), 0),
+            (("cf", "expand", "--kind", "hj", "-3/x"), 1),
+            (("cf", "staircase", "-2,x"), 1),
+        ],
+    )
+    def test_leading_minus_reaches_the_command(self, capsys, argv, code):
+        # a value such as -5/3 or -3,2 is read exactly as it is after "--"
+        got = run_cli(capsys, *argv)
+        at = next(i for i, arg in enumerate(argv) if arg.startswith("-") and arg[1:2].isdigit())
+        assert got == run_cli(capsys, *argv[:at], "--", *argv[at:])
+        assert got[0] == code
+        assert "required" not in got[2]
+
+    def test_no_option_is_spelled_like_a_number(self):
+        from latticecf.cli import _build_parser
+
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        tree = list(parsers(_build_parser()))
+        assert len(tree) == 1 + 6 + 18 and all(isinstance(p, cli._Parser) for p in tree)
+        for parser in tree:
+            for option in parser._option_string_actions:
+                assert not parser._negative_number_matcher.match(option)
+            assert parser._negative_number_matcher.match("-5/3")
+            assert parser._negative_number_matcher.match("-3,2")
 
     @pytest.mark.parametrize(
         "module, oracle, wrong, argv, what",

@@ -9,6 +9,10 @@ To record the file again after a deliberate change of output::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
+Before it overwrites the file, it prints the argv of every entry whose
+hash changed (or that is added or dropped) and their count, so that a
+re-recording can be checked against the change that caused it.
+
 Usage and help text come from argparse, which wraps them to the terminal
 width and words them differently across Python versions; both are pinned
 in the file (``columns``, ``python``).
@@ -248,9 +252,34 @@ def test_golden_deck_replays_byte_identical(monkeypatch):
     assert changed == []
 
 
+def changed_entries(old, new) -> list[str]:
+    """One line per command whose hash differs between two decks of
+    ``(argv, hash)`` pairs, then a count: what a re-recording changes."""
+    before = {tuple(argv): digest for argv, digest in old}
+    lines = []
+    for argv, digest in new:
+        if before.get(tuple(argv)) != digest:
+            kind = "changed" if tuple(argv) in before else "added"
+            lines.append(f"{kind} {json.dumps(list(argv))}")
+    after = {tuple(argv) for argv, _ in new}
+    lines += [f"dropped {json.dumps(list(argv))}" for argv in before if argv not in after]
+    return lines + [f"{len(lines)} entries differ from {GOLDEN.name} ({len(new)} in the new deck)"]
+
+
+def test_changed_entries_names_each_difference():
+    old = [(["a"], "1"), (["b"], "2"), (["c"], "3")]
+    new = [(["a"], "1"), (["b"], "9"), (["d"], "4")]
+    assert changed_entries(old, new) == [
+        'changed ["b"]', 'added ["d"]', 'dropped ["c"]', "3 entries differ from cli_golden.json (3 in the new deck)",
+    ]
+
+
 def _record():
     os.environ["COLUMNS"] = COLUMNS
-    lines = [json.dumps([list(argv), outcome_hash(argv)]) for argv in golden_deck()]
+    deck = [(argv, outcome_hash(argv)) for argv in golden_deck()]
+    old = _load()["deck"] if GOLDEN.exists() else []
+    print("\n".join(changed_entries(old, deck)))
+    lines = [json.dumps([list(argv), digest]) for argv, digest in deck]
     GOLDEN.write_text(
         '{"python": "%s", "columns": "%s", "deck": [\n%s\n]}\n'
         % (_python(), COLUMNS, ",\n".join(lines))

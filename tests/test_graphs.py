@@ -115,6 +115,27 @@ class TestConstruction:
     def test_edges_normalized(self):
         g = G.WeightedDualGraph((G.Vertex(), G.Vertex()), ((1, 0), (0, 1)))
         assert g.edges == ((0, 1), (0, 1))
+        g = G.WeightedDualGraph((G.Vertex(), G.Vertex()), ([1, 0], (1, 1)))
+        assert g.edges == ((0, 1), (1, 1))
+
+    # the exception types the constructor raised when it normalised each edge
+    # with tuple(sorted(e)); the messages may differ
+    @pytest.mark.parametrize("edge, error", [
+        ((0, 1, 2), ValueError),
+        ((1,), ValueError),
+        ((), ValueError),
+        ((0, "1"), TypeError),
+        (("1", 0), TypeError),
+        ((None, 1), TypeError),
+        (5, TypeError),
+        ("01", TypeError),
+        ((0, 3), UnknownVertex),
+        ((-1, 0), UnknownVertex),
+    ])
+    def test_malformed_edges_raise_as_before(self, edge, error):
+        verts = (G.Vertex(), G.Vertex(), G.Vertex())
+        with pytest.raises(error):
+            G.WeightedDualGraph(verts, ((0, 1), edge))
 
 
 class TestIntersectionMatrix:

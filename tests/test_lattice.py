@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latticecf import cf, lattice
-from latticecf.errors import DegenerateCone, DomainError, RegularCone, ZeroVector
+from latticecf.errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
 
 def coprime_pairs(limit):
@@ -217,3 +217,65 @@ class TestKlein:
     def test_matches_expansion_sweep(self):
         for p, q in coprime_pairs(200):
             assert lattice.klein_quotients(p, q) == cf.expand_e(Fraction(p, q)).terms
+
+
+def hull_oracle_parent(cone):
+    """The body ``hull_oracle`` had before its loops were rewritten: a
+    prebuilt candidate list, ``cross`` per candidate and one point per
+    ``append``.  Kept as an oracle of the oracle."""
+    if cone.is_regular:
+        raise RegularCone("a regular cone has no hull polygon data")
+    p, q = cone.p, cone.q
+    cand = [(1, 0)]
+    cand += [(-((q * y) // p), y) for y in range(1, p + 1)]
+    hull = [cand[0]]
+    for pt in cand[1:]:
+        while len(hull) >= 2:
+            u, v = hull[-2], hull[-1]
+            if lattice.cross((v[0] - u[0], v[1] - u[1]), (pt[0] - v[0], pt[1] - v[1])) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    pts = [hull[0]]
+    vertices = [0]
+    for a, b in zip(hull, hull[1:]):
+        g = math.gcd(b[0] - a[0], b[1] - a[1])
+        sx, sy = (b[0] - a[0]) // g, (b[1] - a[1]) // g
+        for k in range(1, g + 1):
+            pts.append((a[0] + k * sx, a[1] + k * sy))
+        vertices.append(len(pts) - 1)
+    weights = []
+    for n in range(1, len(pts) - 1):
+        sx = pts[n - 1][0] + pts[n + 1][0]
+        sy = pts[n - 1][1] + pts[n + 1][1]
+        ax, ay = pts[n]
+        w = sx // ax if ax else sy // ay
+        if (w * ax, w * ay) != (sx, sy):
+            raise InternalError(f"chain relation fails at index {n} for {cone}")
+        weights.append(w)
+    return lattice.ConePolygon(tuple(pts), tuple(weights), tuple(vertices))
+
+
+def assert_same_hull(c):
+    got, want = lattice.hull_oracle(c), hull_oracle_parent(c)
+    assert got.points == want.points, c
+    assert got.weights == want.weights, c
+    assert got.vertex_indices == want.vertex_indices, c
+    assert got == want
+
+
+class TestHullOracleParent:
+    def test_sweep(self):
+        for p, q in coprime_pairs(200):
+            assert_same_hull(lattice.ConeNF(p, q))
+
+    @given(st.integers(2, 3000).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+    def test_random(self, pq):
+        assume(math.gcd(*pq) == 1)
+        assert_same_hull(lattice.ConeNF(*pq))
+
+    def test_regular_cone_raises_as_parent(self):
+        for f in (lattice.hull_oracle, hull_oracle_parent):
+            with pytest.raises(RegularCone):
+                f(lattice.ConeNF(1, 0))

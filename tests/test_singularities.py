@@ -488,6 +488,126 @@ class TestBlockFormConsumers:
         assert d.right_edge_lengths == (n + 1,) and d.left_vertex_weights == (n + 1,)
 
 
+# The bodies embdim_oracle and blowup_oracle had before their loops were
+# rewritten (a generator per floor point; a list of the curves through the
+# point per blow-up), kept as oracles of the oracles.
+
+
+def embdim_oracle_parent(t):
+    p, q = t.p, t.q
+    c = [0] + [-((-q * x) // p) for x in range(1, p + 1)]
+    count = 1
+    for x in range(1, p + 1):
+        if all(c[u] + c[x - u] > c[x] for u in range(1, x)):
+            count += 1
+    return count
+
+
+def blowup_oracle_parent(p, q):
+    if q < 2:
+        raise DomainError("x^p = y^q is singular only for q >= 2")
+    S._check_pq(p, q, "a monomial curve")
+    a, b = q, p
+    curve_a = curve_b = None
+    weights = []
+    edges = set()
+    while True:
+        through = [c for c in (curve_a, curve_b) if c is not None]
+        new = len(weights)
+        weights.append(-1)
+        for c in through:
+            weights[c] -= 1
+        if len(through) == 2:
+            edges.discard((min(through), max(through)))
+        for c in through:
+            edges.add((c, new))
+        if a == b:
+            break
+        if a < b:
+            b -= a
+            curve_a = new
+        else:
+            a -= b
+            curve_b = new
+    verts = tuple(G.Vertex(0, w, f"E_{i + 1}") for i, w in enumerate(weights))
+    return S.CurveResolution(G.WeightedDualGraph(verts, tuple(edges), (len(weights) - 1,)))
+
+
+def assert_same_blowup(p, q):
+    got, want = S.blowup_oracle(p, q).graph, blowup_oracle_parent(p, q).graph
+    assert got.vertices == want.vertices, (p, q)
+    assert got.edges == want.edges, (p, q)
+    assert got.arrows == want.arrows, (p, q)
+
+
+def random_coprime_pair(max_p, min_q=1):
+    return st.integers(min_q + 1, max_p).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(min_q, p - 1))).filter(lambda pq: math.gcd(*pq) == 1)
+
+
+class TestOraclesMatchParentBodies:
+    def test_embdim_sweep(self):
+        for p, q in coprime_pairs(200):
+            t = S.HJType(p, q)
+            assert S.embdim_oracle(t) == embdim_oracle_parent(t), (p, q)
+
+    def test_blowup_sweep(self):
+        for p, q in coprime_pairs(200, q_min=2):
+            assert_same_blowup(p, q)
+
+    @given(random_coprime_pair(400))
+    def test_embdim_random(self, pq):
+        t = S.HJType(*pq)
+        assert S.embdim_oracle(t) == embdim_oracle_parent(t)
+
+    @given(random_coprime_pair(3000, min_q=2))
+    def test_blowup_random(self, pq):
+        assert_same_blowup(*pq)
+
+    @pytest.mark.parametrize("p, q", [(5, 1), (2, 1), (6, 4), (9, 6), (2, 5), (5, 5), (-5, 3), (5, 0), (5, -2)])
+    def test_invalid_curves_raise_as_parent(self, p, q):
+        for f in (S.blowup_oracle, blowup_oracle_parent):
+            with pytest.raises(DomainError):
+                f(p, q)
+
+
+class TestOracleIndependence:
+    """The oracles are the check on cf, so none of them may reach it."""
+
+    CASES = [(2, 1), (3, 2), (5, 2), (7, 3), (11, 4), (11, 7), (35, 13), (97, 35),
+             (144, 89), (128, 127), (331, 3), (499, 2), (500, 499), (500, 123)]
+
+    def answers(self):
+        out = []
+        for p, q in self.CASES:
+            curve = S.blowup_oracle(p, q) if q >= 2 else None
+            out.append((lattice.hull_oracle(lattice.ConeNF(p, q)), S.embdim_oracle(S.HJType(p, q)), curve))
+        return out
+
+    def test_oracles_call_nothing_in_cf(self, monkeypatch):
+        want = self.answers()
+        for (p, q), (hull, dim, curve) in zip(self.CASES, want):
+            assert hull == lattice.polygon(lattice.ConeNF(p, q))
+            assert dim == S.embdim(S.HJType(p, q))
+            assert curve == (S.resolve_monomial(p, q) if q >= 2 else None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle called into cf")
+
+        patched = set()
+        for module in (cf, lattice, S):
+            for name, obj in list(vars(module).items()):
+                if callable(obj) and getattr(obj, "__module__", None) == cf.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+                    patched.add(name)
+        assert {"hj_terms", "block_form", "hj_blocks", "expand_e", "expand_hj",
+                "_quotients", "_continuants", "continuant", "_ints", "_unary",
+                "_involute_blocks"} <= patched
+        with pytest.raises(AssertionError, match="called into cf"):
+            lattice.polygon(lattice.ConeNF(11, 4))
+        assert self.answers() == want
+
+
 class TestSingularityProperties:
     @given(st.integers(3, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, p - 1))))
     def test_resolve_monomial_matches_blowup_oracle(self, pq):
