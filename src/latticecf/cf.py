@@ -366,12 +366,20 @@ def _unary(ms, ns) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _involute_runs(ms, ns) -> tuple[list[int], list[int]]:
+    """Runs of 2s and large terms of t/(t-1) from the block pair of t > 1,
+    by the rule of :func:`involute_hj`: runs and large terms swap roles, and
+    each end of the chain loses one (a single large term loses two).  An
+    end term ``big+3 = 2`` is kept in place.  O(s) steps, however long the runs."""
+    big = list(ms)
+    big[0] -= 1
+    big[-1] -= 1
+    return [0, *ns, 0], big
+
+
 def _involute_blocks(ms, ns) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Block pair of t/(t-1) from the one of t > 1, by the rule of :func:`involute_hj`:
-    runs of 2s and large terms swap roles.  O(s) steps, however long the runs."""
-    if not ns:
-        return _join_end_twos([0, 0], [ms[0] - 2])
-    return _join_end_twos([0, *ns, 0], [ms[0] - 1, *ms[1:-1], ms[-1] - 1])
+    """Block pair of t/(t-1) from the one of t > 1."""
+    return _join_end_twos(*_involute_runs(ms, ns))
 
 
 def _edge_lengths(ms, ns) -> tuple[int, ...]:
@@ -423,33 +431,25 @@ def hj_to_e(terms) -> tuple[int, ...]:
 def e_to_hj_periodic(x: PeriodicCF) -> PeriodicCF:
     """Apply the additive-to-subtractive rewriting to a periodic stream.
 
-    The rewriting consumes the stream in pairs after the first term, so the
-    alignment state (position within the period, pair parity) eventually
-    repeats; the emitted block between two visits of the same state is the
-    output period.
+    After the first term the rewriting turns each pair ``a_i, a_{i+1}``
+    (i odd) into ``(2)^(a_i - 1), a_{i+1} + 2``.  From the first odd index
+    past the preperiod, pairs repeat once the pair parity and the position
+    in the period both return: after the period length if it is even and
+    twice that if it is odd.  That stretch gives the output period, and
+    :class:`PeriodicCF` normalises the result.
     """
     if x.kind != E:
         raise InvalidSequence("input must be of additive kind")
     mu, pi = len(x.preperiod), len(x.period)
     if any(x.term(i) < 1 for i in range(mu + pi)):
         raise InvalidSequence("all streamed terms must be >= 1")
+    start = mu | 1  # the first odd index >= mu
+    a = x.prefix(start + (pi if pi % 2 == 0 else 2 * pi))
 
-    def emitted(i: int) -> list[int]:
-        # block contributed by the pair (term i, term i+1), i >= 1 odd offset
-        return [2] * (x.term(i) - 1) + [x.term(i + 1) + 2]
+    def pairs(lo: int, hi: int) -> tuple[int, ...]:
+        return _unary([t - 1 for t in a[lo:hi:2]] + [0], [t - 1 for t in a[lo + 1:hi:2]])
 
-    out = [x.term(0) + 1]
-    seen: dict[int, int] = {}  # alignment state -> output length at first visit
-    i = 1
-    while True:
-        if i >= mu:
-            state = (i - mu) % pi
-            if state in seen:
-                start = seen[state]
-                return PeriodicCF(HJ, tuple(out[:start]), tuple(out[start:]))
-            seen[state] = len(out)
-        out.extend(emitted(i))
-        i += 2
+    return PeriodicCF(HJ, (a[0] + 1,) + pairs(1, start), pairs(start, len(a)))
 
 
 def involute(x) -> Fraction:

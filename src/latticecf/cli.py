@@ -63,6 +63,8 @@ def _bracket(terms) -> str:
 
 
 def _cone(text: str) -> lattice.ConeNF:
+    if text == "1/0":  # the regular cone, as `cone type` prints it
+        return lattice.ConeNF(1, 0)
     return lattice.ConeNF(*_rational(text).as_integer_ratio())
 
 

@@ -25,11 +25,10 @@ Everything here is a consumer of the continued-fraction and cone modules:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._values import Value, _set
-from .cf import MINUS, _continuants, _ints, _involute_blocks, _unary, block_form, continuant
-from .cf import expand_e, hj_blocks, hj_terms
+from .cf import MINUS, _continuants, _ints, _involute_blocks, _involute_runs, _quotients, _unary
+from .cf import block_form, continuant, hj_blocks, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
@@ -119,25 +118,15 @@ def blowup_types(t: HJType) -> tuple[HJType | None, ...]:
     rays leaves a cyclic quotient point of type (l, l-1), reported as None
     (smooth) when l = 1.  A chain of length one is resolved outright.
 
-    The large terms sit at the cumulative run lengths of the block form, so
-    this costs O(log p) divmods on integers of the bit length of p plus
-    one entry per gap, not one step per chain curve.
+    The gaps are the runs of the block form: ``m1``, then ``m + 1`` for
+    each interior run, then ``m_{s+1}``, or ``m1 - 1`` with no large term;
+    a gap of length 0 (an extracted end that is also a large term) leaves
+    nothing.  This costs O(log p) divmods on integers of the bit length of
+    p plus one entry per gap, not one step per chain curve.
     """
-    ms, _ = block_form(t.p, t.q)
-    large = []
-    pos = 0
-    for m in ms[:-1]:
-        pos += m + 1
-        large.append(pos)
-    r = pos + ms[-1]
-    if r == 1:
-        return ()
-    drawn = sorted({1, r, *large})
-    out: list[HJType | None] = []
-    for a, b in zip(drawn, drawn[1:]):
-        gap = b - a
-        out.append(None if gap == 1 else HJType(gap, gap - 1))
-    return tuple(out)
+    ms, ns = block_form(t.p, t.q)
+    gaps = [ms[0], *(m + 1 for m in ms[1:-1]), ms[-1]] if ns else [ms[0] - 1]
+    return tuple(None if gap == 1 else HJType(gap, gap - 1) for gap in gaps if gap)
 
 
 def lens_reverse(a: LensSpace) -> LensSpace:
@@ -286,26 +275,26 @@ def resolve_monomial(p: int, q: int) -> CurveResolution:
     if q < 2:
         raise DomainError("x^p = y^q is singular only for q >= 2")
     _check_pq(p, q, "a monomial curve")
-    ms, ns = block_form(p, p - q)
-    s = len(ns)  # >= 1: p/(p-q) = [(2)^m] would mean q = 1
+    ms, ns = block_form(p, p - q)  # ns is nonempty: p/(p-q) = [(2)^m] would mean q = 1
+    _, big = _involute_runs(ms, ns)
     # Labels follow the order of appearance: block i gives ms[i] + 1 chain
     # curves (weights -2, then the large term -(ns[i] + 3)), then ns[i] + 1
-    # curves of the supplementary chain, weighted by the involution block
-    # rule without its first term: (2)^ns[i], then ms[i+1] + 3, or
-    # ms[s] + 2 after the last block.  The last run ends at the -1 apex.
+    # curves of the supplementary chain, the block form of the involute
+    # without its first large term: (2)^ns[i], then big[i + 1] + 3.  The
+    # last run of the chain ends at the -1 apex.
     weights: list[int] = []
     chain_ids: list[int] = []
     dual_ids: list[int] = []
-    for i in range(s):
+    for m, n, b in zip(ms, ns, big[1:]):
         k = len(weights)
-        chain_ids.extend(range(k, k + ms[i] + 1))
-        weights += [-2] * ms[i] + [-(ns[i] + 3)]
+        chain_ids.extend(range(k, k + m + 1))
+        weights += [-2] * m + [-(n + 3)]
         k = len(weights)
-        dual_ids.extend(range(k, k + ns[i] + 1))
-        weights += [-2] * ns[i] + [-(ms[i + 1] + (2 if i == s - 1 else 3))]
+        dual_ids.extend(range(k, k + n + 1))
+        weights += [-2] * n + [-(b + 3)]
     k = len(weights)
-    chain_ids.extend(range(k, k + ms[s] + 1))
-    weights += [-2] * ms[s] + [-1]
+    chain_ids.extend(range(k, k + ms[-1] + 1))
+    weights += [-2] * ms[-1] + [-1]
     apex = chain_ids[-1]
     edges = list(zip(chain_ids, chain_ids[1:]))
     edges += zip(dual_ids, dual_ids[1:])
@@ -358,5 +347,7 @@ def blowup_oracle(p: int, q: int) -> CurveResolution:
 
 
 def blowup_count(p: int, q: int) -> int:
-    """Number of blow-ups: the sum of the additive partial quotients of p/q."""
-    return sum(expand_e(Fraction(p, q)).terms)
+    """Number of blow-ups resolving x^p = y^q: the sum of the additive
+    partial quotients of p/q, for 1 <= q < p coprime."""
+    _check_pq(p, q, "a monomial curve")
+    return sum(_quotients(p, q))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._values import Value, _set
-from .cf import _edge_lengths, _involute_blocks, _involute_e, _unary, block_form
+from .cf import _edge_lengths, _involute_e, _involute_runs, _unary, block_form
 from .errors import DomainError
 
 READINGS = ("hj_lambda", "hj_involute", "e_involute", "e_lambda")
@@ -68,24 +68,20 @@ def build(value) -> ZigzagDiagram:
     The block form comes straight from the Euclidean quotients
     (:func:`latticecf.cf.block_form`), so this costs O(log p) divmods on
     integers of the bit length of p and O(s) further steps, however long
-    the unary expansion of the value is.
+    the unary expansion of the value is.  The left chain is the block form
+    of t/(t-1) from Hirzebruch's involution (:func:`latticecf.cf.involute_hj`),
+    runs as edges and large terms as weights, so :func:`rule_ok` checks the
+    paper's weight rule against that involution.
     """
     value = Fraction(value)
     if value <= 1:
         raise DomainError(f"zigzag diagrams need a value > 1, got {value}")
     ms, ns = block_form(value.numerator, value.denominator)
-    s = len(ns)
+    runs, big = _involute_runs(ms, ns)
     right_edges = tuple(m + 1 for m in ms)
     right_weights = tuple(n + 3 for n in ns)
-    left_edges = (1,) + tuple(n + 1 for n in ns) + (1,)
-    if s == 0:
-        left_weights: tuple[int, ...] = (ms[0] + 1,)
-    else:
-        left_weights = (
-            (ms[0] + 2,)
-            + tuple(m + 3 for m in ms[1:-1])
-            + (ms[-1] + 2,)
-        )
+    left_edges = tuple(r + 1 for r in runs)
+    left_weights = tuple(b + 3 for b in big)
     flags = (left_weights[0] >= 3, left_weights[-1] >= 3)
     return ZigzagDiagram(value, right_edges, right_weights, left_edges, left_weights, flags)
 
@@ -94,20 +90,21 @@ def read(d: ZigzagDiagram, which: str) -> tuple[int, ...]:
     """One of the four expansions encoded by the diagram.
 
     ``hj_lambda`` reads the right chain, ``hj_involute`` the left one,
-    ``e_involute`` alternates the edge lengths of both, and ``e_lambda``
-    applies the two-case involution rule to the latter.  The results agree
-    with expanding the value and its involute directly.
+    ``e_involute`` alternates the right edge lengths with the inner left
+    ones, and ``e_lambda`` applies the two-case involution rule to the
+    latter.  All four are read off the diagram's own chains; on a built
+    diagram they agree with expanding the value and its involute directly.
     """
-    ms = [e - 1 for e in d.right_edge_lengths]
-    ns = [w - 3 for w in d.right_vertex_weights]
+    right_runs = [e - 1 for e in d.right_edge_lengths]
     if which == "hj_lambda":
-        return _unary(ms, ns)
+        return _unary(right_runs, [w - 3 for w in d.right_vertex_weights])
     if which == "hj_involute":
-        return _unary(*_involute_blocks(ms, ns))
+        return _unary([e - 1 for e in d.left_edge_lengths], [w - 3 for w in d.left_vertex_weights])
+    edges = _edge_lengths(right_runs, [e - 1 for e in d.left_edge_lengths[1:-1]])
     if which == "e_involute":
-        return _edge_lengths(ms, ns)
+        return edges
     if which == "e_lambda":
-        return _involute_e(_edge_lengths(ms, ns))
+        return _involute_e(edges)
     raise DomainError(f"unknown reading {which!r}; choose one of {READINGS}")
 
 

@@ -240,7 +240,49 @@ def surd_hj_terms(p, d, q, n):
     return tuple(out)
 
 
+def e_to_hj_periodic_walk(x):
+    """Reference: the body ``e_to_hj_periodic`` had before it read the output
+    period off one aligned stretch, walking the stream pair by pair until
+    the alignment state repeats."""
+    if x.kind != cf.E:
+        raise InvalidSequence("input must be of additive kind")
+    mu, pi = len(x.preperiod), len(x.period)
+    if any(x.term(i) < 1 for i in range(mu + pi)):
+        raise InvalidSequence("all streamed terms must be >= 1")
+
+    def emitted(i):
+        return [2] * (x.term(i) - 1) + [x.term(i + 1) + 2]
+
+    out = [x.term(0) + 1]
+    seen = {}
+    i = 1
+    while True:
+        if i >= mu:
+            state = (i - mu) % pi
+            if state in seen:
+                start = seen[state]
+                return cf.PeriodicCF(cf.HJ, tuple(out[:start]), tuple(out[start:]))
+            seen[state] = len(out)
+        out.extend(emitted(i))
+        i += 2
+
+
 class TestPeriodic:
+    @given(
+        st.lists(st.integers(1, 9), min_size=0, max_size=6),
+        st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    )
+    def test_matches_walk(self, pre, per):
+        stream = cf.PeriodicCF(cf.E, tuple(pre), tuple(per))
+        assert cf.e_to_hj_periodic(stream) == e_to_hj_periodic_walk(stream)
+
+    @pytest.mark.parametrize("pre, per", [((0,), (1,)), ((-3, 2), (1, 4)), ((0, 5), (7, 7))])
+    def test_nonpositive_terms_rejected_as_by_walk(self, pre, per):
+        stream = cf.PeriodicCF(cf.E, pre, per)
+        for rewrite in (cf.e_to_hj_periodic, e_to_hj_periodic_walk):
+            with pytest.raises(InvalidSequence, match="all streamed terms must be >= 1"):
+                rewrite(stream)
+
     def test_golden_ratio_like_stream(self):
         ones = cf.PeriodicCF(cf.E, (), (1,))
         out = cf.e_to_hj_periodic(ones)

@@ -109,11 +109,21 @@ class TestCone:
         assert doc["exceptional_rule_ok"]
 
     def test_regular_cone_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, "cone", "polygon", "1/0")
-        # 1/0 does not even parse as a rational
-        assert code == 1
         code, _, err = run_cli(capsys, "cone", "polygon", "1")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("polygon", "a regular cone has no hull polygon data"),
+        ("dual", "a regular cone is self-dual and excluded here"),
+        ("duality-report", "a regular cone is excluded from typed duality"),
+    ])
+    def test_printed_regular_cone_reads_back(self, capsys, command, message):
+        # `cone type` prints the regular cone as 1/0; that text names it again
+        assert run_cli(capsys, "cone", "type", "0", "1", "-1", "0")[1].startswith("1/0\n")
+        assert run_cli(capsys, "cone", command, "1/0") == (2, "", f"error: {message}\n")
+        for text in ("2/0", "-1/0", "0/0", "1/00"):
+            code, out, err = run_cli(capsys, "cone", command, text)
+            assert (code, out) == (1, "") and f"cannot parse rational {text!r}" in err
 
 
 class TestZigzag:

@@ -161,6 +161,9 @@ DOMAIN_ERRORS = [
     ("cone", "polygon", "-3/2"),
     ("cone", "dual", "1"),
     ("cone", "duality-report", "1"),
+    ("cone", "polygon", "1/0"),
+    ("cone", "dual", "1/0"),
+    ("cone", "duality-report", "1/0"),
     ("zigzag", "1/2"),
     ("zigzag", "1"),
     ("sing", "embdim", "1/2"),

@@ -361,6 +361,11 @@ class TestMonomialCurves:
         assert S.blowup_count(11, 4) == 6
         assert S.blowup_count(5, 2) == 4
 
+    @pytest.mark.parametrize("p, q", [(3, 0), (5, -2), (4, 2), (2, 5), (3, 3)])
+    def test_vertex_count_rejects_what_resolve_rejects(self, p, q):
+        with pytest.raises(DomainError, match="a monomial curve"):
+            S.blowup_count(p, q)
+
     def test_exceptional_part_contractible(self):
         for p, q in coprime_pairs(30, q_min=2):
             g = S.resolve_monomial(p, q).graph

@@ -149,6 +149,42 @@ class TestRead:
                 if math.gcd(p, q) == 1:
                     assert zigzag.rule_ok(zigzag.build(Fraction(p, q)))
 
+    @pytest.mark.parametrize("value", [Fraction(11, 7), Fraction(11, 4), Fraction(97, 35), Fraction(3, 2), 5])
+    def test_rule_fails_on_any_entry_off_by_one(self, value):
+        d = zigzag.build(value)
+        # the two unit end edges of the left chain face no vertex: the rule
+        # does not see them
+        checked = {
+            "right_edge_lengths": range(d.s + 1),
+            "right_vertex_weights": range(d.s),
+            "left_edge_lengths": range(1, d.s + 1),
+            "left_vertex_weights": range(d.s + 1),
+        }
+        for name, indices in checked.items():
+            for i in indices:
+                for delta in (-1, 1):
+                    assert not zigzag.rule_ok(altered(d, name, i, delta)), (name, i, delta)
+
+    @pytest.mark.parametrize("value", [Fraction(11, 7), Fraction(11, 4), Fraction(97, 35), 5])
+    def test_readings_follow_the_left_chain(self, value):
+        d = zigzag.build(value)
+
+        def changed(other):
+            return {w for w in zigzag.READINGS if zigzag.read(other, w) != zigzag.read(d, w)}
+
+        for i in range(1, d.s + 1):
+            assert changed(altered(d, "left_edge_lengths", i, 1)) == {"hj_involute", "e_involute", "e_lambda"}
+        for i in range(d.s + 1):
+            assert changed(altered(d, "left_vertex_weights", i, 1)) == {"hj_involute"}
+
+
+def altered(d, name, i, delta):
+    """The diagram ``d`` with entry ``i`` of the chain field ``name`` moved by ``delta``."""
+    fields = {f: getattr(d, f) for f in zigzag.ZigzagDiagram.__slots__}
+    chain = list(fields[name])
+    chain[i] += delta
+    return zigzag.ZigzagDiagram(**{**fields, name: tuple(chain)})
+
 
 class TestRender:
     def test_ascii_golden_11_7(self):
