@@ -441,15 +441,13 @@ def e_to_hj_periodic(x: PeriodicCF) -> PeriodicCF:
     if x.kind != E:
         raise InvalidSequence("input must be of additive kind")
     mu, pi = len(x.preperiod), len(x.period)
-    if any(x.term(i) < 1 for i in range(mu + pi)):
-        raise InvalidSequence("all streamed terms must be >= 1")
     start = mu | 1  # the first odd index >= mu
-    a = x.prefix(start + (pi if pi % 2 == 0 else 2 * pi))
-
-    def pairs(lo: int, hi: int) -> tuple[int, ...]:
-        return _unary([t - 1 for t in a[lo:hi:2]] + [0], [t - 1 for t in a[lo + 1:hi:2]])
-
-    return PeriodicCF(HJ, (a[0] + 1,) + pairs(1, start), pairs(start, len(a)))
+    a = x.prefix(start + (pi if pi % 2 == 0 else 2 * pi))  # holds every distinct term
+    if min(a) < 1:
+        raise InvalidSequence("all streamed terms must be >= 1")
+    out = _unary([t - 1 for t in a[1::2]] + [0], [t - 1 for t in a[2::2]])
+    cut = sum(a[1:start:2])  # the pair a_i, a_{i+1} emits a_i terms
+    return PeriodicCF(HJ, (a[0] + 1,) + out[:cut], out[cut:])
 
 
 def involute(x) -> Fraction:
