@@ -5,11 +5,18 @@ in its own ``__init__``, through :data:`_set`.  The base derives equality,
 hashing, ``repr``, immutability and pickling from ``__slots__``, as
 ``@dataclass(frozen=True)`` would, without importing ``dataclasses`` or
 generating code when the class is defined.
+
+A public constructor validates and normalises what it is given.  Where the
+library builds a value from data it has just computed, and so knows to be
+in normal form, it calls :meth:`Value._trusted` instead, which sets the
+slots without running ``__init__``.  Unpickling and copying still go
+through the public constructor.
 """
 
 from operator import attrgetter
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class Value:
@@ -22,6 +29,20 @@ class Value:
         # bare value for a single name)
         get = attrgetter(*names)
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in slot order, set without ``__init__``.
+
+        Only for fields the library has just computed in the form the public
+        constructor would return.  It saves that constructor's checks, and
+        pays only where they cost more than this generic loop: a constructor
+        whose checks are trivial (``Vertex``, ``ConeNF``) is faster.
+        """
+        obj = _new(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(obj, name, value)
+        return obj
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

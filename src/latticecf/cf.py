@@ -67,7 +67,7 @@ def _check_terms(kind: str, terms) -> tuple[int, ...]:
     if not terms:
         raise InvalidSequence("empty expansion")
     low = 1 if kind == E else 2
-    if min(terms[1:], default=low) < low:
+    if min(terms) < low and min(terms[1:], default=low) < low:  # the first term may be low
         t = next(t for t in terms[1:] if t < low)  # the first offender names the error
         raise InvalidSequence(f"term {t} < {low} in {kind!r} expansion {terms}")
     return terms
@@ -254,8 +254,9 @@ def expand_e(x) -> CFExpansion:
     >>> expand_e(Fraction(11, 7)).terms
     (1, 1, 1, 3)
     """
-    x = Fraction(x)
-    return CFExpansion(E, _quotients(x.numerator, x.denominator))
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return CFExpansion._trusted(E, _quotients(x.numerator, x.denominator))
 
 
 def hj_terms(p: int, q: int) -> tuple[int, ...]:
@@ -284,8 +285,9 @@ def expand_hj(x) -> CFExpansion:
     >>> expand_hj(Fraction(11, 7)).terms
     (2, 3, 2, 2)
     """
-    x = Fraction(x)
-    return CFExpansion(HJ, hj_terms(x.numerator, x.denominator))
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return CFExpansion._trusted(HJ, hj_terms(x.numerator, x.denominator))
 
 
 def block_form(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -300,7 +302,7 @@ def block_form(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not 0 < q < p:
         raise DomainError(f"block form needs p/q > 1 with q > 0, got ({p}, {q})")
-    return _quotient_blocks(_quotients(p, q))
+    return _join_end_twos(*_quotient_runs(_quotients(p, q)))
 
 
 def hj_blocks(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -314,6 +316,11 @@ def hj_blocks(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
     terms = _ints(terms)
     if terms and min(terms) < 2:
         raise InvalidSequence(f"block form needs all terms >= 2, got {terms}")
+    return _hj_blocks(terms)
+
+
+def _hj_blocks(terms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair of :func:`hj_blocks`, for int terms already known to be >= 2."""
     ms: list[int] = []
     ns: list[int] = []
     run = 0
@@ -328,20 +335,23 @@ def hj_blocks(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ms), tuple(ns)
 
 
-def _quotient_blocks(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Block pair of ``[a1..an]+``, terms >= 1, by the rule of :func:`e_to_hj`.
+def _quotient_runs(a: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Runs of 2s and large terms of ``[a1..an]+``, terms >= 1, by the rule
+    of :func:`e_to_hj`; an end term ``big+3 = 2`` is kept in place.
 
     For odd n the last large term ``a_n+1`` is one less than an interior
     one; a single term is head and last at once, so it stays ``a1``.  A
     trailing 1 or a single 1 gives a term below 2, which :func:`_unary`
     still renders as the right term.
     """
-    runs = [0] + [x - 1 for x in a[1::2]]
-    big = [a[0] - 2] + [x - 1 for x in a[2::2]]
+    runs = [x - 1 for x in a[1::2]]
+    runs.insert(0, 0)
+    big = [x - 1 for x in a[2::2]]
+    big.insert(0, a[0] - 2)
     if len(a) % 2:
         big[-1] -= 1
         runs.append(0)
-    return _join_end_twos(runs, big)
+    return runs, big
 
 
 def _join_end_twos(runs: list[int], big: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -357,7 +367,8 @@ def _join_end_twos(runs: list[int], big: list[int]) -> tuple[tuple[int, ...], tu
 
 
 def _unary(ms, ns) -> tuple[int, ...]:
-    """The terms ``(2)^m1, n1+3, ..., ns+3, (2)^m_{s+1}`` of a block pair."""
+    """The terms ``(2)^m1, n1+3, ..., ns+3, (2)^m_{s+1}`` of a block pair, or
+    of runs whose end terms of 2 were not joined: both render the same."""
     out: list[int] = []
     for m, n in zip(ms, ns):
         out += [2] * m
@@ -375,11 +386,6 @@ def _involute_runs(ms, ns) -> tuple[list[int], list[int]]:
     big[0] -= 1
     big[-1] -= 1
     return [0, *ns, 0], big
-
-
-def _involute_blocks(ms, ns) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Block pair of t/(t-1) from the one of t > 1."""
-    return _join_end_twos(*_involute_runs(ms, ns))
 
 
 def _edge_lengths(ms, ns) -> tuple[int, ...]:
@@ -410,7 +416,7 @@ def e_to_hj(terms) -> tuple[int, ...]:
     terms = _ints(terms)
     if not terms or min(terms) < 1:
         raise InvalidSequence(f"need a nonempty sequence of terms >= 1, got {terms}")
-    return _unary(*_quotient_blocks(terms))
+    return _unary(*_quotient_runs(terms))
 
 
 def hj_to_e(terms) -> tuple[int, ...]:
@@ -425,7 +431,7 @@ def hj_to_e(terms) -> tuple[int, ...]:
         return terms
     if terms[0] < 2:
         raise InvalidSequence(f"first term must be >= 2 to invert, got {terms[0]}")
-    return _involute_e(_edge_lengths(*hj_blocks(terms)))
+    return _involute_e(_edge_lengths(*_hj_blocks(terms)))
 
 
 def e_to_hj_periodic(x: PeriodicCF) -> PeriodicCF:
@@ -490,7 +496,7 @@ def involute_hj(terms) -> tuple[int, ...]:
     terms = _check_terms(HJ, terms)
     if terms[0] < 2:
         raise InvalidSequence(f"need the canonical expansion of some t > 1, got {terms}")
-    return _unary(*_involute_blocks(*hj_blocks(terms)))
+    return _unary(*_involute_runs(*_hj_blocks(terms)))
 
 
 def staircase(terms) -> Staircase:
@@ -498,18 +504,21 @@ def staircase(terms) -> Staircase:
     terms = _ints(terms)
     if not terms or any(t < 2 for t in terms):
         raise InvalidSequence(f"staircase needs all terms >= 2, got {terms}")
-    return Staircase(tuple(t - 1 for t in terms))
+    return Staircase._trusted(tuple([t - 1 for t in terms]))
 
 
 def staircase_dual(s: Staircase) -> tuple[int, ...]:
-    """Read the diagram by columns: column k holds (dual term k) - 1 points."""
+    """Read the diagram by columns: column k holds (dual term k) - 1 points.
+
+    Row k+1 starts in the column where row k ends, so a column holds the
+    point of one row plus one for every later row that starts in it:
+    O(rows + columns) steps, not one per point.
+    """
     offs = s.column_offsets()
-    ncols = offs[-1] + s.rows[-1]
-    counts = [0] * ncols
-    for off, r in zip(offs, s.rows):
-        for c in range(off, off + r):
-            counts[c] += 1
-    return tuple(c + 1 for c in counts)
+    terms = [2] * (offs[-1] + s.rows[-1])
+    for off in offs[1:]:
+        terms[off] += 1
+    return tuple(terms)
 
 
 def reverse_hj(p: int, q: int) -> tuple[tuple[int, ...], Fraction]:

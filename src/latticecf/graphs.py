@@ -82,11 +82,17 @@ class WeightedDualGraph(Value):
 
 
 def chain(weights, genus=0) -> WeightedDualGraph:
-    """Path-shaped graph with the given self-intersection weights."""
+    """Path-shaped graph with the given self-intersection weights.
+
+    Vertices are immutable, so equal weights share one, built (and its
+    genus checked) by the public constructor; the path's edges are already
+    sorted and in range, so the graph itself is built trusted.
+    """
     weights = tuple(weights)
-    verts = tuple(Vertex(genus, w) for w in weights)
-    edges = tuple((i, i + 1) for i in range(len(weights) - 1))
-    return WeightedDualGraph(verts, edges)
+    made = {w: Vertex(genus, w) for w in set(weights)}
+    n = len(weights)
+    edges = tuple(zip(range(n - 1), range(1, n)))
+    return WeightedDualGraph._trusted(tuple(map(made.__getitem__, weights)), edges, ())
 
 
 def cycle_graph(weights, genus=0) -> WeightedDualGraph:
@@ -146,17 +152,24 @@ def _minors(g: WeightedDualGraph):
         rows[i][j] = (rows[i].get(j, (0, 0))[0] + (i != j), 0)
     minors = [1]
     for t, row in enumerate(rows):
-        tail = {j: a if s == t else a * minors[t] // minors[s] for j, (a, s) in row.items()}
-        pivot = tail.pop(t)
+        prev = minors[t]
+        a, s = row.pop(t)
+        pivot = a if s == t else a * prev // minors[s]
         yield pivot
         if not pivot:
             return
         minors.append(pivot)
-        tail = sorted(tail.items())
-        for k, (i, left) in enumerate(tail):
-            for j, right in tail[k:]:
+        # fill-in can append a key out of order, so each pair is ordered as it is met
+        tail = list(row.items())
+        for k, (x, (left, sx)) in enumerate(tail):
+            if sx != t:
+                left = left * prev // minors[sx]
+            for y, (right, sy) in tail[k:]:
+                if sy != t:
+                    right = right * prev // minors[sy]
+                i, j = (x, y) if x <= y else (y, x)
                 a, s = rows[i].get(j, (0, t))
-                rows[i][j] = ((pivot * a * minors[t] // minors[s] - left * right) // minors[t], t + 1)
+                rows[i][j] = ((pivot * a * prev // minors[s] - left * right) // prev, t + 1)
 
 
 def is_contractible(g: WeightedDualGraph) -> bool:
@@ -165,7 +178,12 @@ def is_contractible(g: WeightedDualGraph) -> bool:
     Sylvester's criterion sign(M_k) = (-1)^k, read off the minors pass up
     to the first wrong sign: O(n) on chains and trees, fill-bound otherwise.
     """
-    return all(minor * (-1) ** k > 0 for k, minor in enumerate(_minors(g), 1))
+    sign = -1
+    for minor in _minors(g):
+        if minor * sign <= 0:
+            return False
+        sign = -sign
+    return True
 
 
 def is_contractible_minors(g: WeightedDualGraph) -> bool:
@@ -256,10 +274,24 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
 
 
 def pairing(g: WeightedDualGraph, z: Cycle, i: int) -> int:
-    """Intersection number of the cycle with the i-th component."""
+    """Intersection number of the cycle with the i-th component.
+
+    Row i of the intersection matrix read off the edge list: the weight
+    times the own coefficient, plus the coefficient across each edge at i
+    (a loop adds nothing).  O(edges), with no matrix built.
+    """
     _check_vertex(g, i)
-    m = intersection_matrix(g)
-    return sum(m[i][j] * c for j, c in enumerate(z.coefficients))
+    c = z.coefficients
+    if len(c) != len(g):
+        raise DomainError(f"a cycle of {len(c)} coefficients on a graph of {len(g)} vertices")
+    total = g.vertices[i].weight * c[i]
+    for a, b in g.edges:
+        if a != b:
+            if a == i:
+                total += c[b]
+            elif b == i:
+                total += c[a]
+    return total
 
 
 def _vertex_id(i: int) -> str:

@@ -202,14 +202,29 @@ def polygon(cone: ConeNF) -> ConePolygon:
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
     weights = hj_terms(cone.p, cone.q)
-    pts = [(1, 0), (0, 1)]
-    for w in weights:
-        a, b = pts[-1], pts[-2]
-        pts.append((w * a[0] - b[0], w * a[1] - b[1]))
+    pts = _chain_points(weights, (1, 0), (0, 1))
     if pts[-1] != (-cone.q, cone.p):
         raise InternalError(f"chain for {cone} did not close at (-q, p)")
-    vertices = (0,) + tuple(n for n, w in enumerate(weights, 1) if w >= 3) + (len(pts) - 1,)
-    return ConePolygon(tuple(pts), weights, vertices)
+    return ConePolygon(pts, weights, _vertex_indices(weights))
+
+
+def _chain_points(weights: tuple[int, ...], a0: Vec, a1: Vec) -> tuple[Vec, ...]:
+    """The chain ``A_0 = a0, A_1 = a1, A_{n+1} = w_n * A_n - A_{n-1}``.
+
+    The recursion is linear, so seeds moved by a matrix give the chain moved
+    by that matrix.
+    """
+    (x0, y0), (x1, y1) = a0, a1
+    pts = [a0, a1]
+    for w in weights:
+        x0, y0, x1, y1 = x1, y1, w * x1 - x0, w * y1 - y0
+        pts.append((x1, y1))
+    return tuple(pts)
+
+
+def _vertex_indices(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The two ends of a chain and every interior point of weight >= 3."""
+    return (0, *[n for n, w in enumerate(weights, 1) if w >= 3], len(weights) + 1)
 
 
 def hull_oracle(cone: ConeNF) -> ConePolygon:
@@ -375,8 +390,14 @@ def duality_map(cone: ConeNF) -> DualityReport:
         raise RegularCone("a regular cone is excluded from typed duality")
     chain = polygon(cone)
     dual = supplementary(cone)
-    dual_chain = polygon(dual)
-    dual_pts = tuple(SUPPLEMENTARY_MAP.apply(pt) for pt in dual_chain.points)
+    # the supplementary chain in this frame: its recursion from the mapped seeds
+    dual_weights = hj_terms(dual.p, dual.q)
+    seeds = SUPPLEMENTARY_MAP.apply((1, 0)), SUPPLEMENTARY_MAP.apply((0, 1))
+    dual_pts = _chain_points(dual_weights, *seeds)
+    apex = (-cone.q, cone.p)
+    if dual_pts[-1] != apex:
+        raise InternalError(f"supplementary chain of {cone} did not close at (-q, p)")
+    dual_vertex_indices = _vertex_indices(dual_weights)
     where = {pt: i for i, pt in enumerate(dual_pts)}
 
     images = [EdgeImage("ray-", None, None, None, (-1, 0), where.get((-1, 0)))]
@@ -386,11 +407,10 @@ def duality_map(cone: ConeNF) -> DualityReport:
         images.append(
             EdgeImage("compact", a, b, integral_length(pa, pb), direction, where.get(direction))
         )
-    apex = (-cone.q, cone.p)
     images.append(EdgeImage("ray+", None, None, None, apex, where.get(apex)))
 
-    dual_vertex_set = set(dual_chain.vertex_indices)
-    compact = [im for im in images if im.kind == "compact"]
+    dual_vertex_set = set(dual_vertex_indices)
+    compact = images[1:-1]
     extremes = [compact[0]] if len(compact) == 1 else [compact[0], compact[-1]]
     last = len(chain.points) - 1
     exceptional = []
@@ -405,7 +425,7 @@ def duality_map(cone: ConeNF) -> DualityReport:
         )
 
     indices = [im.image_index for im in images]
-    images_on_dual = all(i is not None for i in indices)
+    images_on_dual = None not in indices
     covered = images_on_dual and dual_vertex_set <= set(indices)
     ordered = images_on_dual and all(i < j for i, j in zip(indices, indices[1:]))
     return DualityReport(
@@ -413,7 +433,7 @@ def duality_map(cone: ConeNF) -> DualityReport:
         dual=dual,
         chain=chain,
         dual_points=dual_pts,
-        dual_vertex_indices=dual_chain.vertex_indices,
+        dual_vertex_indices=dual_vertex_indices,
         images=tuple(images),
         exceptional=tuple(exceptional),
         images_on_dual=images_on_dual,

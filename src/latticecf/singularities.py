@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 
 from ._values import Value, _set
-from .cf import MINUS, _continuants, _ints, _involute_blocks, _involute_runs, _quotients, _unary
-from .cf import block_form, continuant, hj_blocks, hj_terms
+from .cf import MINUS, _continuants, _hj_blocks, _ints, _involute_runs, _quotients, _unary
+from .cf import block_form, continuant, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
@@ -73,7 +73,7 @@ class LensSpace(Value):
 
 def hj_resolution(t: HJType) -> WeightedDualGraph:
     """Minimal-resolution chain: weights -a_1, ..., -a_r for p/q = [a_1..a_r]-."""
-    return chain(-a for a in hj_terms(t.p, t.q))
+    return chain([-a for a in hj_terms(t.p, t.q)])
 
 
 def embdim(t: HJType) -> int:
@@ -232,7 +232,7 @@ def cusp_dual(c: CuspCycle) -> CuspCycle:
     """
     w = c.weights
     pivot = max(i for i, x in enumerate(w) if x >= 3)
-    t = _unary(*_involute_blocks(*hj_blocks(w[pivot + 1:] + w[:pivot + 1])))
+    t = _unary(*_involute_runs(*_hj_blocks(w[pivot + 1:] + w[:pivot + 1])))
     return CuspCycle((t[0] + 1,) + t[1:-1])
 
 
@@ -295,12 +295,13 @@ def resolve_monomial(p: int, q: int) -> CurveResolution:
     k = len(weights)
     chain_ids.extend(range(k, k + ms[-1] + 1))
     weights += [-2] * ms[-1] + [-1]
-    apex = chain_ids[-1]
+    apex = chain_ids[-1]  # the last vertex: every edge (i, j) below has i < j
     edges = list(zip(chain_ids, chain_ids[1:]))
     edges += zip(dual_ids, dual_ids[1:])
     edges.append((dual_ids[-1], apex))
+    edges.sort()
     verts = tuple(Vertex(0, w, f"E_{k + 1}") for k, w in enumerate(weights))
-    return CurveResolution(WeightedDualGraph(verts, tuple(edges), (apex,)))
+    return CurveResolution._trusted(WeightedDualGraph._trusted(verts, tuple(edges), (apex,)))
 
 
 def blowup_oracle(p: int, q: int) -> CurveResolution:

@@ -73,15 +73,17 @@ def build(value) -> ZigzagDiagram:
     runs as edges and large terms as weights, so :func:`rule_ok` checks the
     paper's weight rule against that involution.
     """
-    value = Fraction(value)
-    if value <= 1:
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    if p <= q:
         raise DomainError(f"zigzag diagrams need a value > 1, got {value}")
-    ms, ns = block_form(value.numerator, value.denominator)
+    ms, ns = block_form(p, q)
     runs, big = _involute_runs(ms, ns)
-    right_edges = tuple(m + 1 for m in ms)
-    right_weights = tuple(n + 3 for n in ns)
-    left_edges = tuple(r + 1 for r in runs)
-    left_weights = tuple(b + 3 for b in big)
+    right_edges = tuple([m + 1 for m in ms])
+    right_weights = tuple([n + 3 for n in ns])
+    left_edges = tuple([r + 1 for r in runs])
+    left_weights = tuple([b + 3 for b in big])
     flags = (left_weights[0] >= 3, left_weights[-1] >= 3)
     return ZigzagDiagram(value, right_edges, right_weights, left_edges, left_weights, flags)
 
@@ -109,14 +111,27 @@ def read(d: ZigzagDiagram, which: str) -> tuple[int, ...]:
 
 
 def rule_ok(d: ZigzagDiagram) -> bool:
-    """Check the weight rule at every vertex of the diagram.
+    """Check the shape of the diagram and the weight rule at every vertex.
 
-    Each vertex weight must equal the length of the opposite edge plus the
-    number of its endpoints distinct from the two base points and the apex.
+    The four chains must be sequences of integers of lengths s+1 (right
+    edges), s (right weights), s+2 (left edges) and s+1 (left weights), and
+    the left chain must start and end with a unit edge.  Each vertex weight
+    must equal the length of the opposite edge plus the number of its
+    endpoints distinct from the two base points and the apex.  A malformed
+    diagram gives False; this never raises.
     """
-    s = d.s
-    re, rw = d.right_edge_lengths, d.right_vertex_weights
-    le, lw = d.left_edge_lengths, d.left_vertex_weights
+    try:
+        re, rw, le, lw = map(tuple, (d.right_edge_lengths, d.right_vertex_weights,
+                                     d.left_edge_lengths, d.left_vertex_weights))
+    except TypeError:  # a chain that is no sequence
+        return False
+    s = len(rw)
+    if (len(re), len(le), len(lw)) != (s + 1, s + 2, s + 1):
+        return False
+    if not all(isinstance(x, int) for x in re + rw + le + lw):
+        return False
+    if le[0] != 1 or le[-1] != 1:
+        return False
     # right vertex j (1-based) faces the left edge between V_j' and V_{j+1}'
     for j in range(1, s + 1):
         if rw[j - 1] != le[j] + 2:

@@ -402,6 +402,16 @@ class TestInvolution:
                 assert cf.involute_hj(cf.expand_hj(x).terms) == cf.expand_hj(image).terms
 
 
+def staircase_dual_points(s):
+    """The former body of ``staircase_dual``, one step per point; kept as an oracle."""
+    offs = s.column_offsets()
+    counts = [0] * (offs[-1] + s.rows[-1])
+    for off, r in zip(offs, s.rows):
+        for c in range(off, off + r):
+            counts[c] += 1
+    return tuple(c + 1 for c in counts)
+
+
 class TestStaircase:
     def test_paper_diagram(self):
         s = cf.staircase((2, 3, 2, 2))
@@ -419,6 +429,11 @@ class TestStaircase:
             cf.staircase((2, 1))
         with pytest.raises(InvalidSequence):
             cf.staircase(())
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+    def test_dual_matches_point_count(self, rows):
+        s = cf.Staircase(tuple(rows))
+        assert cf.staircase_dual(s) == staircase_dual_points(s)
 
     def test_transpose_is_involute(self):
         for p in range(2, 90):

@@ -97,6 +97,16 @@ class TestConstruction:
         c = G.chain((-2, -3))
         assert len(c) == 2 and c.edges == ((0, 1),)
         assert G.chain(()).vertices == ()
+
+    def test_chain_builds_like_the_public_constructor(self):
+        weights = (-2, -3, -2, -2, -5, -3)
+        g = G.chain(iter(weights), genus=1)
+        assert g == G.WeightedDualGraph(tuple(G.Vertex(1, w) for w in weights),
+                                        tuple((i, i + 1) for i in range(5)))
+        assert g.vertices[0] is g.vertices[2]  # one vertex per distinct weight
+        assert G.chain((), genus=-1) == G.WeightedDualGraph((), ())  # no vertex to check
+        with pytest.raises(DomainError):
+            G.chain((-2,), genus=-1)
         loop = G.cycle_graph((-3,))
         assert loop.edges == ((0, 0),)
         two = G.cycle_graph((-2, -3))
@@ -271,6 +281,22 @@ class TestFundamentalCycle:
             assert all(G.pairing(g, z, i) <= 0 for i in range(n))
             if all(w <= -2 for w in weights):
                 assert z.coefficients == (1,) * n
+
+    def test_pairing_is_the_matrix_row(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            g = random_graph(rng, max_vertices=8)  # loops, multi-edges and zero weights
+            m = G.intersection_matrix(g)
+            z = G.Cycle(tuple(rng.randint(-3, 5) for _ in range(len(g))))
+            for i in range(len(g)):
+                assert G.pairing(g, z, i) == sum(a * c for a, c in zip(m[i], z.coefficients))
+
+    def test_pairing_checks_its_arguments(self):
+        g = G.chain((-2, -2))
+        with pytest.raises(UnknownVertex):
+            G.pairing(g, G.Cycle((1, 1)), 2)
+        with pytest.raises(DomainError):
+            G.pairing(g, G.Cycle((1,)), 0)
 
     def test_errors(self):
         with pytest.raises(NotContractible):

@@ -607,7 +607,7 @@ class TestOracleIndependence:
                     patched.add(name)
         assert {"hj_terms", "block_form", "hj_blocks", "expand_e", "expand_hj",
                 "_quotients", "_continuants", "continuant", "_ints", "_unary",
-                "_involute_blocks"} <= patched
+                "_involute_runs"} <= patched
         with pytest.raises(AssertionError, match="called into cf"):
             lattice.polygon(lattice.ConeNF(11, 4))
         assert self.answers() == want

@@ -6,12 +6,17 @@ and deletion raise ``AttributeError``, constructors take their fields by
 position or keyword and normalise them, and ``pickle``/``copy`` round-trip.
 """
 
+import ast
 import copy
 import inspect
+import math
+import pathlib
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import latticecf
 from latticecf import _values, cf, graphs as G, lattice as L, singularities as S, zigzag as Z
@@ -36,6 +41,15 @@ EXAMPLES = {
     "ZigzagDiagram": lambda: Z.build(Fraction(11, 7)),
 }
 
+# values as the library's own builders return them, which set their fields
+# without the public constructor or next to it; named after the builder
+BUILT = {
+    "hj_resolution": lambda: S.hj_resolution(S.HJType(11, 7)),
+    "blowup_types": lambda: S.blowup_types(S.HJType(11, 7))[1],
+    "supplementary": lambda: L.supplementary(L.ConeNF(11, 7)),
+}
+ALL = {**EXAMPLES, **BUILT}
+
 # the text @dataclass(frozen=True) gave these objects
 REPRS = {
     'CFExpansion': "CFExpansion(kind='hj', terms=(2, 3, 2, 2))",
@@ -55,6 +69,9 @@ REPRS = {
     'CuspCycle': 'CuspCycle(weights=(2, 2, 3))',
     'CurveResolution': "CurveResolution(graph=WeightedDualGraph(vertices=(Vertex(genus=0, weight=-3, label='E_1'), Vertex(genus=0, weight=-2, label='E_2'), Vertex(genus=0, weight=-1, label='E_3')), edges=((0, 2), (1, 2)), arrows=(2,)))",
     'ZigzagDiagram': 'ZigzagDiagram(value=Fraction(11, 7), right_edge_lengths=(2, 3), right_vertex_weights=(3,), left_edge_lengths=(1, 1, 1), left_vertex_weights=(3, 4), extreme_is_vertex=(True, True))',
+    'hj_resolution': 'WeightedDualGraph(vertices=(Vertex(genus=0, weight=-2, label=None), Vertex(genus=0, weight=-3, label=None), Vertex(genus=0, weight=-2, label=None), Vertex(genus=0, weight=-2, label=None)), edges=((0, 1), (1, 2), (2, 3)), arrows=())',
+    'blowup_types': 'HJType(p=2, q=1)',
+    'supplementary': 'ConeNF(p=11, q=4)',
 }
 
 
@@ -69,30 +86,33 @@ def value_classes():
 
 
 def test_examples_cover_every_value_class():
-    assert value_classes() == set(EXAMPLES) == set(REPRS)
+    assert value_classes() == set(EXAMPLES)
+    assert set(REPRS) == set(ALL)
     assert len(EXAMPLES) == 17
+    assert all(type(make()).__name__ == name for name, make in EXAMPLES.items())
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
+@pytest.mark.parametrize("name", sorted(ALL))
 class TestContract:
     def test_equality_and_hash_agree(self, name):
-        x, y = EXAMPLES[name](), EXAMPLES[name]()
+        x, y = ALL[name](), ALL[name]()
         assert x is not y
         assert x == y and not x != y
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
 
     def test_other_classes_are_not_equal(self, name):
-        x = EXAMPLES[name]()
-        for other_name, make in EXAMPLES.items():
+        x = ALL[name]()
+        for other_name, make in ALL.items():
             if other_name != name:
                 other = make()
-                assert x != other and not x == other
-                assert x.__eq__(other) is NotImplemented
+                assert x != other and not x == other  # same class: the examples differ
+                if type(other) is not type(x):
+                    assert x.__eq__(other) is NotImplemented
         assert x != tuple(getattr(x, field) for field in type(x).__slots__)  # nor to its fields
 
     def test_assignment_and_deletion_raise(self, name):
-        x = EXAMPLES[name]()
+        x = ALL[name]()
         before = repr(x)
         for field in type(x).__slots__:
             with pytest.raises(AttributeError):
@@ -104,10 +124,10 @@ class TestContract:
         assert repr(x) == before
 
     def test_repr_unchanged(self, name):
-        assert repr(EXAMPLES[name]()) == REPRS[name]
+        assert repr(ALL[name]()) == REPRS[name]
 
     def test_pickle_and_copy_round_trip(self, name):
-        x = EXAMPLES[name]()
+        x = ALL[name]()
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
             assert type(y) is type(x)
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
@@ -156,3 +176,83 @@ def test_constructors_still_validate():
         G.WeightedDualGraph((G.Vertex(),), ((0, 1),))
     with pytest.raises(latticecf.DomainError):
         S.CurveResolution(G.chain((-1, -2)))
+
+
+# The trusted construction path: values the library builds from data it has
+# just computed skip their public constructor (``Value._trusted``).
+
+
+def rebuilt(x):
+    """``x`` rebuilt through the public constructors, nested values first."""
+    if isinstance(x, _values.Value):
+        return type(x)(*map(rebuilt, x._fields(x)))
+    if isinstance(x, tuple):
+        return tuple(map(rebuilt, x))
+    return x
+
+
+BUILDERS = {
+    "expand_e": lambda p, q: cf.expand_e(Fraction(p, q)),
+    "expand_hj": lambda p, q: cf.expand_hj(Fraction(p, q)),
+    "staircase": lambda p, q: cf.staircase(cf.hj_terms(p, q)),
+    "hj_resolution": lambda p, q: S.hj_resolution(S.HJType(p, q)),
+    "resolve_monomial": lambda p, q: S.resolve_monomial(p, q) if q >= 2 else None,
+    "blowup_types": lambda p, q: S.blowup_types(S.HJType(p, q)),
+    "supplementary": lambda p, q: L.supplementary(L.ConeNF(p, q)),
+}
+
+
+@st.composite
+def coprime_pairs(draw, max_bits=200, max_unary=10**4):
+    """A coprime pair p > q >= 1 from sweep size (2 bits) to ``max_bits``
+    bits, drawn through a seeded ``Random``, with at most ``max_unary``
+    blow-ups (the sum of the additive quotients bounds every unary size)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = rng.getrandbits(draw(st.integers(2, max_bits))) + 2
+    q = rng.randrange(1, p)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    assume(p > 1 and sum(cf._quotients(p, q)) <= max_unary)
+    return p, q
+
+
+class TestTrustedPath:
+    def test_sweep_values_equal_their_public_rebuild(self):
+        for p in range(2, 71):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    for name, build in BUILDERS.items():
+                        x = build(p, q)
+                        assert rebuilt(x) == x and repr(rebuilt(x)) == repr(x), (name, p, q)
+
+    @given(coprime_pairs())
+    def test_values_equal_their_public_rebuild(self, pq):
+        for name, build in BUILDERS.items():
+            x = build(*pq)
+            assert rebuilt(x) == x and repr(rebuilt(x)) == repr(x), name
+
+    def test_unpickling_goes_through_the_public_constructor(self):
+        bad = cf.CFExpansion._trusted(cf.HJ, (3, 1))
+        with pytest.raises(latticecf.InvalidSequence):
+            pickle.loads(pickle.dumps(bad))
+        with pytest.raises(latticecf.InvalidSequence):
+            copy.deepcopy(bad)
+
+    def test_one_body_and_no_oracle_or_cli_use(self):
+        src = pathlib.Path(_values.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+        bodies = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_trusted"]
+        assert len(bodies) == 1 and bodies[0][0] == "_values.py"
+
+        def uses(node):
+            return any(isinstance(n, ast.Attribute) and n.attr == "_trusted"
+                       or isinstance(n, ast.Name) and n.id == "_trusted" for n in ast.walk(node))
+
+        assert not uses(trees["cli.py"])
+        oracles = {"hull_oracle", "embdim_oracle", "blowup_oracle"}
+        found = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name in oracles}
+        assert set(found) == oracles
+        assert not any(uses(node) for node in found.values())
+        assert uses(trees["cf.py"]) and uses(trees["graphs.py"]) and uses(trees["singularities.py"])

@@ -152,18 +152,45 @@ class TestRead:
     @pytest.mark.parametrize("value", [Fraction(11, 7), Fraction(11, 4), Fraction(97, 35), Fraction(3, 2), 5])
     def test_rule_fails_on_any_entry_off_by_one(self, value):
         d = zigzag.build(value)
-        # the two unit end edges of the left chain face no vertex: the rule
-        # does not see them
+        # the two unit end edges of the left chain face no vertex, but must be 1
         checked = {
             "right_edge_lengths": range(d.s + 1),
             "right_vertex_weights": range(d.s),
-            "left_edge_lengths": range(1, d.s + 1),
+            "left_edge_lengths": range(d.s + 2),
             "left_vertex_weights": range(d.s + 1),
         }
         for name, indices in checked.items():
             for i in indices:
                 for delta in (-1, 1):
                     assert not zigzag.rule_ok(altered(d, name, i, delta)), (name, i, delta)
+
+    def test_rule_checks_the_left_end_edges(self):
+        d = zigzag.build(Fraction(11, 7))
+        assert d.left_edge_lengths == (1, 1, 1) and zigzag.rule_ok(d)
+        wrong = reshaped(d, left_edge_lengths=(5, 1, 7))
+        assert not zigzag.rule_ok(wrong)
+        assert zigzag.read(wrong, "hj_involute") != zigzag.read(d, "hj_involute")
+
+    @pytest.mark.parametrize("fields", [
+        {"left_vertex_weights": (3,)},  # one left weight: indexing past it raised IndexError
+        {"left_vertex_weights": ()},
+        {"left_edge_lengths": (1, 1)},
+        {"right_edge_lengths": (2, 3, 1)},
+        {"right_vertex_weights": ()},
+        {"right_vertex_weights": (3, 3)},
+        {"left_edge_lengths": None},
+        {"left_vertex_weights": "34"},
+        {"right_edge_lengths": (2.0, 3)},
+        {"right_vertex_weights": ("3",)},
+    ])
+    def test_rule_is_false_on_a_malformed_diagram(self, fields):
+        d = zigzag.build(Fraction(11, 7))
+        assert zigzag.rule_ok(reshaped(d, **fields)) is False
+
+    def test_rule_takes_any_integer_sequences(self):
+        d = zigzag.build(Fraction(97, 35))
+        as_lists = reshaped(d, **{f: list(getattr(d, f)) for f in zigzag.ZigzagDiagram.__slots__[1:5]})
+        assert zigzag.rule_ok(as_lists)
 
     @pytest.mark.parametrize("value", [Fraction(11, 7), Fraction(11, 4), Fraction(97, 35), 5])
     def test_readings_follow_the_left_chain(self, value):
@@ -176,6 +203,11 @@ class TestRead:
             assert changed(altered(d, "left_edge_lengths", i, 1)) == {"hj_involute", "e_involute", "e_lambda"}
         for i in range(d.s + 1):
             assert changed(altered(d, "left_vertex_weights", i, 1)) == {"hj_involute"}
+
+
+def reshaped(d, **fields):
+    """The diagram ``d`` with the given fields replaced, unchecked."""
+    return zigzag.ZigzagDiagram(**{**{f: getattr(d, f) for f in zigzag.ZigzagDiagram.__slots__}, **fields})
 
 
 def altered(d, name, i, delta):
