@@ -21,7 +21,11 @@ import sys
 from fractions import Fraction
 
 from . import cf, graphs, lattice, singularities as sing, zigzag
-from .errors import InternalError, LatticeCFError
+from .errors import DomainError, InternalError, LatticeCFError
+
+# The --oracle recomputations are brute force, linear in p (hull rows, floor
+# points, blow-ups): the largest p they are run for.
+ORACLE_MAX_P = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,8 +129,13 @@ class _OracleMismatch(Exception):
     """An --oracle recomputation disagrees with the answer; ``main`` exits 3."""
 
 
-def _checked(args, fast, oracle, *inputs, what: str):
-    """``fast(*inputs)``, once ``oracle(*inputs)`` agrees with it if --oracle is given."""
+def _checked(args, fast, oracle, *inputs, p: int, what: str):
+    """``fast(*inputs)``, once ``oracle(*inputs)`` agrees with it if --oracle is given.
+
+    With --oracle, a ``p`` above ``ORACLE_MAX_P`` is refused before either runs.
+    """
+    if args.oracle and p > ORACLE_MAX_P:
+        raise DomainError(f"--oracle is brute force in p: p = {p} exceeds the bound {ORACLE_MAX_P}")
     answer = fast(*inputs)
     if args.oracle and answer != oracle(*inputs):
         raise _OracleMismatch(what)
@@ -183,7 +192,7 @@ def _cone_type(args) -> str:
 
 def _polygon(args) -> str:
     cone = _cone(args.value)
-    chain = _checked(args, lattice.polygon, lattice.hull_oracle, cone,
+    chain = _checked(args, lattice.polygon, lattice.hull_oracle, cone, p=cone.p,
                      what="hull differs from the recursion chain")
     doc = {"schema": "lattice-cf/1", "type": "polygon", "p": cone.p, "q": cone.q}
     return _dump(doc | _chain_doc(chain))
@@ -202,7 +211,8 @@ def _zigzag(args) -> str:
 
 
 def _embdim(args) -> str:
-    dim = _checked(args, sing.embdim, sing.embdim_oracle, _hj_type(args.value),
+    t = _hj_type(args.value)
+    dim = _checked(args, sing.embdim, sing.embdim_oracle, t, p=t.p,
                    what="semigroup count differs from the formula")
     return f"{dim}\n"
 
@@ -226,7 +236,7 @@ def _trace(args) -> str:
 
 def _curve_resolve(args) -> str:
     resolution = _checked(args, sing.resolve_monomial, sing.blowup_oracle, args.p, args.q,
-                          what="blow-up simulation differs from the diagram")
+                          p=args.p, what="blow-up simulation differs from the diagram")
     return _graph_text(args, resolution.graph)
 
 

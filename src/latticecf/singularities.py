@@ -92,20 +92,27 @@ def embdim_oracle(t: HJType) -> int:
     The dual cone is {(x, y): x >= 0, p*y >= q*x}; minimal generators of
     its semigroup of lattice points are the points not expressible as a sum
     of two others.  Any point strictly above the staircase floor
-    y = ceil(q*x/p) sheds a (0, 1), and any point with x > p sheds (p, q),
-    so within a box of side 2p the survivors are (0, 1) together with the
-    floor points (x, ceil(q*x/p)), x = 1..p, that admit no splitting
-    x = u + (x - u) with ceil(q*u/p) + ceil(q*(x-u)/p) <= ceil(q*x/p).
+    y = c_x = ceil(q*x/p) sheds a (0, 1), and any point with x > p sheds
+    (p, q), so the survivors are (0, 1) together with the floor points
+    (x, c_x), x = 1..p, that admit no splitting x = u + (x - u) with
+    c_u + c_{x-u} <= c_x.
+
+    Those are read off the slack r_x = p*c_x - q*x = (-q*x) mod p:
+    r_u + r_{x-u} is r_x mod p and lies in [0, 2p), so it is r_x, and
+    c_u + c_{x-u} = c_x, exactly when r_u <= r_x; otherwise it is r_x + p.
+    Hence x is a generator iff r_x is below every earlier slack: one pass
+    over x = 1..p, O(p) integer steps, no list.
     """
     p, q = t.p, t.q
-    c = [0] + [-((-q * x) // p) for x in range(1, p + 1)]
     count = 1  # the generator (0, 1)
-    for x in range(1, p + 1):
-        cx = c[x]
-        for u in range(1, x):
-            if c[u] + c[x - u] <= cx:
-                break
-        else:
+    low = p  # above every slack, so x = 1 is a generator
+    r = 0
+    for _ in range(p):
+        r -= q  # r_x = r_{x-1} - q mod p
+        if r < 0:
+            r += p
+        if r < low:
+            low = r
             count += 1
     return count
 
@@ -253,9 +260,9 @@ class CurveResolution(Value):
         minus_one = [i for i, v in enumerate(graph.vertices) if v.weight == -1]
         if len(minus_one) != 1 or graph.arrows[0] != minus_one[0]:
             raise DomainError("the arrowhead must sit on the unique -1 vertex")
-        want = {f"E_{k + 1}" for k in range(len(graph))}
-        if {v.label for v in graph.vertices} != want:
-            raise DomainError("vertex labels must be E_1..E_N")
+        for k, v in enumerate(graph.vertices):
+            if v.label != f"E_{k + 1}":
+                raise DomainError(f"vertex {k} must be labelled E_{k + 1}, got {v.label!r}")
         _set(self, "graph", graph)
 
     def __len__(self) -> int:

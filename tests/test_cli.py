@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -364,6 +365,56 @@ class TestHarness:
             for run in runs:
                 assert run.returncode == 0, run.stderr.decode()
             assert runs[0].stdout == runs[1].stdout
+
+
+# Each --oracle command, the library function behind its answer and its oracle,
+# and how to write it for a given p.
+ORACLE_COMMANDS = [
+    pytest.param("lattice", "polygon", "hull_oracle", lambda p, q: ("cone", "polygon", f"{p}/{q}"),
+                 id="cone-polygon"),
+    pytest.param("sing", "embdim", "embdim_oracle", lambda p, q: ("sing", "embdim", f"{p}/{q}"),
+                 id="sing-embdim"),
+    pytest.param("sing", "resolve_monomial", "blowup_oracle", lambda p, q: ("curve", "resolve", str(p), str(q)),
+                 id="curve-resolve"),
+]
+
+
+class TestOracleBound:
+    """--oracle recomputes by brute force, linear in p, so it refuses p above one bound."""
+
+    @pytest.mark.parametrize("module, fast, oracle, argv", ORACLE_COMMANDS)
+    @pytest.mark.parametrize("p, q", [(10**39 + 1, 2), (cli.ORACLE_MAX_P + 1, 2)])
+    def test_above_the_bound_exits_2_before_computing(self, capsys, monkeypatch, module, fast, oracle, argv, p, q):
+        def refuse(*args):
+            raise AssertionError("computed past the oracle bound")
+
+        for name in (fast, oracle):
+            monkeypatch.setattr(getattr(cli, module), name, refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv(p, q), "--oracle")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: --oracle is brute force in p: p = {p} exceeds the bound {cli.ORACLE_MAX_P}\n"
+
+    @pytest.mark.parametrize("module, fast, oracle, argv", ORACLE_COMMANDS)
+    def test_at_the_bound_answers(self, capsys, module, fast, oracle, argv):
+        # 100000/61803 has small quotients, so the answer itself stays small
+        p, q = cli.ORACLE_MAX_P, 61803
+        code, out, err = run_cli(capsys, *argv(p, q), "--oracle")
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv(p, q)) == (0, out, "")
+
+    @pytest.mark.parametrize("module, fast, oracle, argv", ORACLE_COMMANDS)
+    def test_without_oracle_the_bound_does_not_apply(self, capsys, module, fast, oracle, argv):
+        q, p = 1, 2  # consecutive Fibonacci numbers: every chain and blow-up count stays short
+        while p <= 10**39:
+            q, p = p, p + q
+        code, out, err = run_cli(capsys, *argv(p, q))
+        assert (code, err) == (0, "") and out
+
+    def test_largest_odd_p_within_the_bound(self, capsys):
+        p = cli.ORACLE_MAX_P - 1  # 99999/2 = [50000, 2]-: embedding dimension 3 + 49998
+        assert run_cli(capsys, "sing", "embdim", f"{p}/2", "--oracle") == (0, "50001\n", "")
 
 
 class TestBeyondDigitLimit:

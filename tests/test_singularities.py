@@ -371,6 +371,19 @@ class TestMonomialCurves:
             g = S.resolve_monomial(p, q).graph
             assert G.is_contractible(G.WeightedDualGraph(g.vertices, g.edges))
 
+    def test_labels_must_follow_vertex_order(self):
+        g = S.resolve_monomial(11, 4).graph
+        swapped = (G.Vertex(0, -2, "E_2"), G.Vertex(0, -1, "E_1"))
+        for graph in (
+            G.WeightedDualGraph(swapped, ((0, 1),), (1,)),
+            G.WeightedDualGraph(g.vertices[::-1], tuple((5 - j, 5 - i) for i, j in g.edges), (0,)),
+            G.WeightedDualGraph(g.vertices[:2] + (G.Vertex(0, -4, "E_4"), G.Vertex(0, -2, "E_3"))
+                                + g.vertices[4:], g.edges, g.arrows),
+        ):
+            with pytest.raises(DomainError, match="must be labelled"):
+                S.CurveResolution(graph)
+        assert S.CurveResolution(g) == S.resolve_monomial(11, 4)
+
     def test_smooth_curves_rejected(self):
         with pytest.raises(DomainError):
             S.resolve_monomial(5, 1)
@@ -493,9 +506,11 @@ class TestBlockFormConsumers:
         assert d.right_edge_lengths == (n + 1,) and d.left_vertex_weights == (n + 1,)
 
 
-# The bodies embdim_oracle and blowup_oracle had before their loops were
-# rewritten (a generator per floor point; a list of the curves through the
-# point per blow-up), kept as oracles of the oracles.
+# The bodies embdim_oracle and blowup_oracle had before they were rewritten,
+# kept as oracles of the oracles: the semigroup count by its definition, every
+# splitting of every floor point tried, O(p^2) (embdim_oracle now keeps the
+# running minimum of the floor slack); a list of the curves through the point
+# per blow-up.
 
 
 def embdim_oracle_parent(t):
@@ -576,11 +591,32 @@ class TestOraclesMatchParentBodies:
                 f(p, q)
 
 
+class TestSemigroupOracleAtScale:
+    """embdim_oracle is one pass over the p floor points, so it checks the
+    formula at sizes the splitting scan of ``embdim_oracle_parent`` cannot reach."""
+
+    @pytest.mark.parametrize("p", [10**4 + 1, 10**5 + 1])
+    def test_extreme_q(self, p):
+        for q in (1, 2, p - 2, p - 1):
+            t = S.HJType(p, q)
+            assert S.embdim_oracle(t) == S.embdim(t), (p, q)
+
+    def test_random_pairs(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            p = rng.randrange(10**4, 10**5)
+            q = rng.randrange(1, p)
+            while math.gcd(p, q) != 1:
+                q = rng.randrange(1, p)
+            t = S.HJType(p, q)
+            assert S.embdim_oracle(t) == S.embdim(t), (p, q)
+
+
 class TestOracleIndependence:
     """The oracles are the check on cf, so none of them may reach it."""
 
     CASES = [(2, 1), (3, 2), (5, 2), (7, 3), (11, 4), (11, 7), (35, 13), (97, 35),
-             (144, 89), (128, 127), (331, 3), (499, 2), (500, 499), (500, 123)]
+             (144, 89), (128, 127), (331, 3), (499, 2), (500, 499), (500, 123), (10001, 2)]
 
     def answers(self):
         out = []
