@@ -1,21 +1,25 @@
 """The frozen base of the package's value classes.
 
-A value class lists its fields in ``__slots__`` and assigns each one once,
-in its own ``__init__``, through :data:`_set`.  The base derives equality,
-hashing, ``repr``, immutability and pickling from ``__slots__``, as
+A value class lists its fields in ``__slots__``.  When the class is
+defined, the base moves each slot's descriptor to the private alias
+``_<field>`` and puts a read-only property under the public name, so a
+constructor stores each field once with a plain ``self._<field> = value``
+and callers read ``obj.<field>`` but cannot assign or delete it.  The base
+derives equality, hashing, ``repr`` and pickling from ``__slots__``, as
 ``@dataclass(frozen=True)`` would, without importing ``dataclasses`` or
-generating code when the class is defined.
+generating code when the class is defined.  The aliases are private: like
+``object.__setattr__`` on a frozen dataclass, assigning one bypasses the
+constructor's checks.
 
 A public constructor validates and normalises what it is given.  Where the
 library builds a value from data it has just computed, and so knows to be
-in normal form, it calls :meth:`Value._trusted` instead, which sets the
-slots without running ``__init__``.  Unpickling and copying still go
+in normal form, it may call :meth:`Value._trusted` instead, which stores
+the fields without running ``__init__``.  Unpickling and copying still go
 through the public constructor.
 """
 
 from operator import attrgetter
 
-_set = object.__setattr__
 _new = object.__new__
 
 
@@ -25,23 +29,29 @@ class Value:
     def __init_subclass__(cls):
         names = cls.__slots__
         cls.__match_args__ = names
+        aliases = tuple(f"_{name}" for name in names)
+        for name, alias in zip(names, aliases):
+            setattr(cls, alias, vars(cls)[name])  # the slot's member descriptor
+            setattr(cls, name, property(attrgetter(alias), doc=f"The {name} field (read-only)."))
+        cls._aliases = aliases
         # the field values as a tuple, read at C speed (attrgetter returns a
         # bare value for a single name)
-        get = attrgetter(*names)
+        get = attrgetter(*aliases)
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
 
     @classmethod
     def _trusted(cls, *fields):
-        """The value with these fields, in slot order, set without ``__init__``.
+        """The value with these fields, in slot order, stored without ``__init__``.
 
         Only for fields the library has just computed in the form the public
         constructor would return.  It saves that constructor's checks, and
         pays only where they cost more than this generic loop: a constructor
-        whose checks are trivial (``Vertex``, ``ConeNF``) is faster.
+        whose checks are trivial is faster, so each call site is kept only
+        where it measures faster than the public constructor.
         """
         obj = _new(cls)
-        for name, value in zip(cls.__slots__, fields):
-            _set(obj, name, value)
+        for alias, value in zip(cls._aliases, fields):
+            setattr(obj, alias, value)
         return obj
 
     def __eq__(self, other):
@@ -55,12 +65,6 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return self.__class__, self._fields(self)

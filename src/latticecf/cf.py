@@ -32,7 +32,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ._values import Value, _set
+from ._values import Value
 from .errors import DivisionByZero, DomainError, InvalidSequence
 
 E = "e"
@@ -85,8 +85,8 @@ class CFExpansion(Value):
     terms: tuple[int, ...]
 
     def __init__(self, kind: str, terms: tuple[int, ...]):
-        _set(self, "kind", kind)
-        _set(self, "terms", _check_terms(kind, terms))
+        self._kind = kind
+        self._terms = _check_terms(kind, terms)
 
     def value(self) -> Fraction:
         return evaluate(self)
@@ -124,9 +124,9 @@ class PeriodicCF(Value):
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        _set(self, "kind", kind)
-        _set(self, "preperiod", pre)
-        _set(self, "period", per)
+        self._kind = kind
+        self._preperiod = pre
+        self._period = per
 
     def term(self, i: int) -> int:
         """i-th term of the stream, 0-based."""
@@ -168,7 +168,7 @@ class Staircase(Value):
         rows = _ints(rows)
         if not rows or any(r < 1 for r in rows):
             raise InvalidSequence(f"every staircase row needs >= 1 point: {rows}")
-        _set(self, "rows", rows)
+        self._rows = rows
 
     def column_offsets(self) -> tuple[int, ...]:
         """Starting column of each row (row k+1 starts under row k's last point)."""

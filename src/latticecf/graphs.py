@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from ._values import Value, _set
+from ._values import Value
 from .errors import Disconnected, DomainError, NotContractible, UnknownVertex
 
 
@@ -31,9 +31,9 @@ class Vertex(Value):
     def __init__(self, genus: int = 0, weight: int = 0, label: str | None = None):
         if genus < 0:
             raise DomainError(f"genus must be >= 0, got {genus}")
-        _set(self, "genus", genus)
-        _set(self, "weight", weight)
-        _set(self, "label", label)
+        self._genus = genus
+        self._weight = weight
+        self._label = label
 
 
 class Cycle(Value):
@@ -43,7 +43,7 @@ class Cycle(Value):
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: tuple[int, ...]):
-        _set(self, "coefficients", coefficients)
+        self._coefficients = coefficients
 
 
 class WeightedDualGraph(Value):
@@ -73,9 +73,9 @@ class WeightedDualGraph(Value):
         labels = [v.label for v in verts if v.label is not None]
         if len(labels) != len(set(labels)):
             raise DomainError("vertex labels must be unique when present")
-        _set(self, "vertices", verts)
-        _set(self, "edges", edges)
-        _set(self, "arrows", arrows)
+        self._vertices = verts
+        self._edges = edges
+        self._arrows = arrows
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -141,12 +141,26 @@ def _check_vertex(g: WeightedDualGraph, i: int):
 def _minors(g: WeightedDualGraph):
     """Yield the leading principal minors M_1, M_2, ... of the intersection matrix.
 
-    They are the pivots of one sparse symmetric Bareiss pass in vertex order.
-    Step t sets ``a_ij = (M_t * a_ij - a_it * a_tj) / M_{t-1}`` for pairs in
-    pivot row t only; other entries keep the step s they were last set at and
-    are rescaled on use by M_t / M_s, exactly.  Stops after the first zero
-    minor.  O(n) multiply-adds on chains and trees, fill-bound otherwise.
+    On a chain, whose edges are exactly the path (0, 1), ..., (n-2, n-1),
+    the matrix is tridiagonal with ones beside the diagonal, so the minors
+    are continuants: ``M_k = w_k * M_{k-1} - M_{k-2}`` from M_0 = 1 and
+    M_{-1} = 0, one multiply-add per vertex, and all n of them are yielded,
+    zero minors included.
+
+    Any other graph takes one sparse symmetric Bareiss pass in vertex
+    order, whose pivots are the minors.  Step t sets
+    ``a_ij = (M_t * a_ij - a_it * a_tj) / M_{t-1}`` for pairs in pivot row t
+    only; other entries keep the step s they were last set at and are
+    rescaled on use by M_t / M_s, exactly.  That pass stops after the first
+    zero minor.  O(n) multiply-adds on trees, fill-bound otherwise.
     """
+    n = len(g.vertices)
+    if g.edges == tuple(zip(range(n - 1), range(1, n))):
+        before, minor = 0, 1
+        for v in g.vertices:
+            before, minor = minor, v.weight * minor - before
+            yield minor
+        return
     rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (a_ij, step), j >= i
     for i, j in g.edges:  # a loop (i, i) adds nothing to the matrix
         rows[i][j] = (rows[i].get(j, (0, 0))[0] + (i != j), 0)
@@ -175,8 +189,8 @@ def _minors(g: WeightedDualGraph):
 def is_contractible(g: WeightedDualGraph) -> bool:
     """Whether the intersection matrix is negative definite.
 
-    Sylvester's criterion sign(M_k) = (-1)^k, read off the minors pass up
-    to the first wrong sign: O(n) on chains and trees, fill-bound otherwise.
+    Sylvester's criterion sign(M_k) = (-1)^k, read off the minors up to the
+    first wrong sign: O(n) on chains and trees, fill-bound otherwise.
     """
     sign = -1
     for minor in _minors(g):
@@ -194,8 +208,9 @@ def is_contractible_minors(g: WeightedDualGraph) -> bool:
 def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
     """Exact determinants of the top-left k x k blocks, k = 1..n.
 
-    The pivots of the minors pass (O(n) on chains); after a zero minor,
-    where that pass stops, each later k x k block costs O(k^3) in ``_det``.
+    The minors of :func:`_minors`: all n of them on a chain, by the
+    continuant recursion in O(n).  On any other graph the Bareiss pass stops
+    at a zero minor, and each later k x k block costs O(k^3) in ``_det``.
     """
     minors = list(_minors(g))
     if len(minors) < len(g):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._values import Value, _set
+from ._values import Value
 from .cf import hj_terms
 from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
@@ -66,10 +66,10 @@ class Mat2(Value):
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
+        self._a = a
+        self._b = b
+        self._c = c
+        self._d = d
 
     def apply(self, v: Vec) -> Vec:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
@@ -114,8 +114,8 @@ class ConeNF(Value):
     def __init__(self, p: int, q: int):
         if not (0 <= q < p) or math.gcd(p, q) != 1:
             raise DomainError(f"({p}, {q}) is not a cone normal form")
-        _set(self, "p", p)
-        _set(self, "q", q)
+        self._p = p
+        self._q = q
 
     @property
     def is_regular(self) -> bool:
@@ -146,9 +146,9 @@ class ConePolygon(Value):
 
     def __init__(self, points: tuple[Vec, ...], weights: tuple[int, ...],
                  vertex_indices: tuple[int, ...]):
-        _set(self, "points", points)
-        _set(self, "weights", weights)
-        _set(self, "vertex_indices", vertex_indices)
+        self._points = points
+        self._weights = weights
+        self._vertex_indices = vertex_indices
 
     @property
     def r(self) -> int:
@@ -300,12 +300,12 @@ class EdgeImage(Value):
 
     def __init__(self, kind: str, start: int | None, end: int | None, length: int | None,
                  image: Vec, image_index: int | None):
-        _set(self, "kind", kind)
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "length", length)
-        _set(self, "image", image)
-        _set(self, "image_index", image_index)
+        self._kind = kind
+        self._start = start
+        self._end = end
+        self._length = length
+        self._image = image
+        self._image_index = image_index
 
 
 class ExceptionalPoint(Value):
@@ -328,12 +328,12 @@ class ExceptionalPoint(Value):
 
     def __init__(self, edge_start: int, edge_end: int, length: int, image: Vec,
                  is_vertex: bool, expected_vertex: bool):
-        _set(self, "edge_start", edge_start)
-        _set(self, "edge_end", edge_end)
-        _set(self, "length", length)
-        _set(self, "image", image)
-        _set(self, "is_vertex", is_vertex)
-        _set(self, "expected_vertex", expected_vertex)
+        self._edge_start = edge_start
+        self._edge_end = edge_end
+        self._length = length
+        self._image = image
+        self._is_vertex = is_vertex
+        self._expected_vertex = expected_vertex
 
 
 class DualityReport(Value):
@@ -364,17 +364,17 @@ class DualityReport(Value):
                  images: tuple[EdgeImage, ...], exceptional: tuple[ExceptionalPoint, ...],
                  images_on_dual: bool, vertices_covered: bool, orientation_respected: bool,
                  exceptional_rule_ok: bool):
-        _set(self, "cone", cone)
-        _set(self, "dual", dual)
-        _set(self, "chain", chain)
-        _set(self, "dual_points", dual_points)
-        _set(self, "dual_vertex_indices", dual_vertex_indices)
-        _set(self, "images", images)
-        _set(self, "exceptional", exceptional)
-        _set(self, "images_on_dual", images_on_dual)
-        _set(self, "vertices_covered", vertices_covered)
-        _set(self, "orientation_respected", orientation_respected)
-        _set(self, "exceptional_rule_ok", exceptional_rule_ok)
+        self._cone = cone
+        self._dual = dual
+        self._chain = chain
+        self._dual_points = dual_points
+        self._dual_vertex_indices = dual_vertex_indices
+        self._images = images
+        self._exceptional = exceptional
+        self._images_on_dual = images_on_dual
+        self._vertices_covered = vertices_covered
+        self._orientation_respected = orientation_respected
+        self._exceptional_rule_ok = exceptional_rule_ok
 
 
 def duality_map(cone: ConeNF) -> DualityReport:

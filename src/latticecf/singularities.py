@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from ._values import Value, _set
+from ._values import Value
 from .cf import MINUS, _continuants, _hj_blocks, _ints, _involute_runs, _quotients, _unary
 from .cf import block_form, continuant, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
@@ -48,8 +48,8 @@ class HJType(Value):
 
     def __init__(self, p: int, q: int):
         _check_pq(p, q, "a singularity type")
-        _set(self, "p", p)
-        _set(self, "q", q)
+        self._p = p
+        self._q = q
 
     def __str__(self) -> str:
         if self.q == self.p - 1:
@@ -64,8 +64,8 @@ class LensSpace(Value):
 
     def __init__(self, p: int, q: int):
         _check_pq(p, q, "a lens space")
-        _set(self, "p", p)
-        _set(self, "q", q)
+        self._p = p
+        self._q = q
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
@@ -197,7 +197,7 @@ class CuspCycle(Value):
         if all(x == 2 for x in w):
             raise InvalidCycle("a cusp cycle needs at least one weight >= 3")
         k = _least_rotation(w)
-        _set(self, "weights", w[k:] + w[:k])
+        self._weights = w[k:] + w[:k]
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -263,7 +263,7 @@ class CurveResolution(Value):
         for k, v in enumerate(graph.vertices):
             if v.label != f"E_{k + 1}":
                 raise DomainError(f"vertex {k} must be labelled E_{k + 1}, got {v.label!r}")
-        _set(self, "graph", graph)
+        self._graph = graph
 
     def __len__(self) -> int:
         return len(self.graph)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._values import Value, _set
+from ._values import Value
 from .cf import _edge_lengths, _involute_e, _involute_runs, _unary, block_form
 from .errors import DomainError
 
@@ -49,12 +49,12 @@ class ZigzagDiagram(Value):
     def __init__(self, value: Fraction, right_edge_lengths: tuple[int, ...],
                  right_vertex_weights: tuple[int, ...], left_edge_lengths: tuple[int, ...],
                  left_vertex_weights: tuple[int, ...], extreme_is_vertex: tuple[bool, bool]):
-        _set(self, "value", value)
-        _set(self, "right_edge_lengths", right_edge_lengths)
-        _set(self, "right_vertex_weights", right_vertex_weights)
-        _set(self, "left_edge_lengths", left_edge_lengths)
-        _set(self, "left_vertex_weights", left_vertex_weights)
-        _set(self, "extreme_is_vertex", extreme_is_vertex)
+        self._value = value
+        self._right_edge_lengths = right_edge_lengths
+        self._right_vertex_weights = right_vertex_weights
+        self._left_edge_lengths = left_edge_lengths
+        self._left_vertex_weights = left_vertex_weights
+        self._extreme_is_vertex = extreme_is_vertex
 
     @property
     def s(self) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,24 @@ def laplace_det(m):
 def block_minors(g):
     m = [list(row) for row in G.intersection_matrix(g)]
     return tuple(laplace_det([row[:k] for row in m[:k]]) for k in range(1, len(g) + 1))
+
+
+def is_path(g):
+    return g.edges == tuple((i, i + 1) for i in range(len(g) - 1))
+
+
+def _near_chain(weights, edges):
+    return G.WeightedDualGraph(tuple(G.Vertex(0, w) for w in weights), edges)
+
+
+# graphs one step away from a chain, each with a zero leading minor
+NEAR_CHAINS = {
+    # the path 1 - 0 - 2 listed in another vertex order
+    "reordered path": _near_chain((-1, -1, -1, -2), ((0, 1), (0, 2), (2, 3))),
+    "doubled edge": _near_chain((-1, -1, -2, -3), ((0, 1), (1, 2), (1, 2), (2, 3))),
+    "loop": _near_chain((-1, -1, -2, -2), ((0, 1), (1, 1), (1, 2), (2, 3))),
+    "isolated vertex": _near_chain((-1, -1, -2, -3), ((0, 1), (1, 2))),
+}
 
 
 def minimal_cycles_brute(g, bound=4):
@@ -197,7 +216,8 @@ class TestContractibility:
         assert G.leading_principal_minors(G.chain(())) == ()
 
     def test_singular_leading_block(self):
-        # minor_2 = 0 stops the minors pass; minor_3 comes from the 3 x 3 block
+        # on a chain the continuant recursion runs through minor_2 = 0; on the
+        # hexagon minor_1 = 0 stops the Bareiss pass and the rest come from _det
         g = G.chain((-1, -1, -2))
         assert G.leading_principal_minors(g) == (-1, 0, 1) == block_minors(g)
         assert not G.is_contractible(g) and not G.is_contractible_minors(g)
@@ -214,7 +234,7 @@ class TestContractibility:
             assert G.is_contractible_minors(g) == expected
             minors = G.leading_principal_minors(g)
             assert minors == block_minors(g)
-            singular += 0 in minors[:-1]
+            singular += 0 in minors[:-1] and not is_path(g)
         assert singular > 100  # the _det fallback after a zero minor is exercised
 
     def test_long_chains_against_fraction_elimination(self):
@@ -227,6 +247,42 @@ class TestContractibility:
             weights[n // 2 - 1] = weights[n // 2 + 1] = -2
             g = G.chain(weights)
             assert not G.is_contractible(g) and not fraction_elimination_contractible(g)
+
+
+class TestChainMinors:
+    """Chains take their minors from the continuant recursion; every other
+    graph, however close to a chain, takes the Bareiss pass."""
+
+    @given(st.lists(st.integers(-4, 3), max_size=14))
+    def test_chain_minors_match_the_references(self, weights):
+        g = G.chain(weights)
+        assert G.leading_principal_minors(g) == block_minors(g)
+        assert G.is_contractible(g) == fraction_elimination_contractible(g)
+
+    def test_runs_through_zero_minors(self):
+        for n in range(2, 13):
+            g = G.chain((-1, -1) + (-2,) * (n - 2))
+            assert G.leading_principal_minors(g) == block_minors(g)
+            assert len(list(G._minors(g))) == n
+
+    def test_long_singular_chain_is_linear(self):
+        # the zero minor M_2 sent every later block to _det: 9.4 s at n = 160
+        g = G.chain((-1, -1) + (-2,) * 158)
+        start = time.perf_counter()
+        minors = G.leading_principal_minors(g)
+        assert time.perf_counter() - start < 0.05
+        assert minors == tuple((-1) ** (k + 1) * (k - 2) for k in range(1, 161))
+
+    @pytest.mark.parametrize("name", sorted(NEAR_CHAINS))
+    def test_near_chains_take_the_bareiss_pass(self, name):
+        g = NEAR_CHAINS[name]
+        assert not is_path(g)
+        minors = G.leading_principal_minors(g)
+        assert minors == block_minors(g)
+        assert G.is_contractible(g) == fraction_elimination_contractible(g)
+        # a zero minor stops the Bareiss pass, never the continuant recursion
+        assert 0 in minors[:-1]
+        assert len(list(G._minors(g))) < len(g)
 
 
 class TestEulerNormalized:

@@ -133,6 +133,44 @@ class TestContract:
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
 
 
+# The storage: each field lives in its slot under the private alias
+# ``_<field>``, behind a read-only property of the public name.
+
+
+def value_class_objects():
+    return {type(make()) for make in EXAMPLES.values()}
+
+
+@pytest.mark.parametrize("cls", sorted(value_class_objects(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_fields_are_read_only_properties_over_slots(cls):
+    assert cls.__bases__ == (_values.Value,)
+    assert "__setattr__" not in vars(_values.Value) and "__delattr__" not in vars(_values.Value)
+    for name in cls.__slots__:
+        field = vars(cls)[name]
+        assert isinstance(field, property)
+        assert field.fset is None and field.fdel is None
+        assert inspect.ismemberdescriptor(vars(cls)[f"_{name}"])
+    x = EXAMPLES[cls.__name__]()
+    assert x._fields(x) == tuple(getattr(x, name) for name in cls.__slots__)
+
+
+def test_no_generic_setattr_or_generated_code_in_src():
+    src = pathlib.Path(_values.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("__setattr__", "namedtuple"), path.name
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert "_set" not in names and "namedtuple" not in names, path.name
+                assert node.module != "dataclasses", path.name
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Name):
+                assert node.id not in ("exec", "eval", "_set"), path.name
+
+
 def test_hj_type_is_not_a_lens_space():
     assert S.HJType(5, 2) != S.LensSpace(5, 2)
     assert S.HJType(5, 2) == S.HJType(5, 2)
