@@ -38,6 +38,8 @@ class Value:
         # bare value for a single name)
         get = attrgetter(*aliases)
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        # the repr as one format string, filled from those field values
+        cls._repr_format = f"{cls.__qualname__}({', '.join(f'{name}={{!r}}' for name in names)})"
 
     @classmethod
     def _trusted(cls, *fields):
@@ -63,8 +65,7 @@ class Value:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+        return self._repr_format.format(*self._fields(self))
 
     def __reduce__(self):
         return self.__class__, self._fields(self)

@@ -261,13 +261,15 @@ class TestTrustedPath:
                 if math.gcd(p, q) == 1:
                     for name, build in BUILDERS.items():
                         x = build(p, q)
-                        assert rebuilt(x) == x and repr(rebuilt(x)) == repr(x), (name, p, q)
+                        y = rebuilt(x)
+                        assert y == x and repr(y) == repr(x), (name, p, q)
 
     @given(coprime_pairs())
     def test_values_equal_their_public_rebuild(self, pq):
         for name, build in BUILDERS.items():
             x = build(*pq)
-            assert rebuilt(x) == x and repr(rebuilt(x)) == repr(x), name
+            y = rebuilt(x)
+            assert y == x and repr(y) == repr(x), name
 
     def test_unpickling_goes_through_the_public_constructor(self):
         bad = cf.CFExpansion._trusted(cf.HJ, (3, 1))
