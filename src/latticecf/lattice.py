@@ -240,32 +240,30 @@ def hull_oracle(cone: ConeNF) -> ConePolygon:
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
     p, q = cone.p, cone.q
-    hull: list[Vec] = [(1, 0)]
+    pts: list[Vec] = [(1, 0)]
     for y in range(1, p + 1):
         x = -((q * y) // p)
-        # pop while hull[-2] -> hull[-1] -> (x, y) does not turn clockwise
-        while len(hull) >= 2:
-            (ux, uy), (vx, vy) = hull[-2], hull[-1]
-            if (vx - ux) * (y - vy) - (vy - uy) * (x - vx) >= 0:
-                hull.pop()
+        # pop while pts[-2] -> pts[-1] -> (x, y) turns counterclockwise; a
+        # collinear candidate stays, so each hull edge keeps its lattice points
+        while len(pts) >= 2:
+            (ux, uy), (vx, vy) = pts[-2], pts[-1]
+            if (vx - ux) * (y - vy) - (vy - uy) * (x - vx) > 0:
+                pts.pop()
             else:
                 break
-        hull.append((x, y))
-    # reinstate the lattice points interior to each hull edge
-    pts: list[Vec] = [hull[0]]
-    vertices = [0]
-    for (ax, ay), (bx, by) in zip(hull, hull[1:]):
-        g = math.gcd(bx - ax, by - ay)
-        sx, sy = (bx - ax) // g, (by - ay) // g
-        pts += [(ax + k * sx, ay + k * sy) for k in range(1, g + 1)]
-        vertices.append(len(pts) - 1)
+        pts.append((x, y))
     weights = []
+    vertices = [0]
     for n, ((lx, ly), (ax, ay), (rx, ry)) in enumerate(zip(pts, pts[1:], pts[2:]), 1):
         sx, sy = lx + rx, ly + ry
         w = sx // ax if ax else sy // ay
         if w * ax != sx or w * ay != sy:
             raise InternalError(f"chain relation fails at index {n} for {cone}")
         weights.append(w)
+        # consecutive points are unit steps apart; a vertex is where the step turns
+        if (ax - lx) * (ry - ay) != (ay - ly) * (rx - ax):
+            vertices.append(n)
+    vertices.append(len(pts) - 1)
     return ConePolygon(tuple(pts), tuple(weights), tuple(vertices))
 
 
@@ -403,10 +401,10 @@ def duality_map(cone: ConeNF) -> DualityReport:
     images = [EdgeImage("ray-", None, None, None, (-1, 0), where.get((-1, 0)))]
     for a, b in chain.compact_edges():
         pa, pb = chain.points[a], chain.points[b]
-        direction = primitive((pb[0] - pa[0], pb[1] - pa[1]))
-        images.append(
-            EdgeImage("compact", a, b, integral_length(pa, pb), direction, where.get(direction))
-        )
+        dx, dy = pb[0] - pa[0], pb[1] - pa[1]
+        length = math.gcd(dx, dy)  # one gcd for both the image and the length
+        direction = (dx // length, dy // length)
+        images.append(EdgeImage("compact", a, b, length, direction, where.get(direction)))
     images.append(EdgeImage("ray+", None, None, None, apex, where.get(apex)))
 
     dual_vertex_set = set(dual_vertex_indices)

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from latticecf import graphs as G
+from latticecf import singularities as S
 from latticecf.errors import Disconnected, DomainError, NotContractible, UnknownVertex
 
 GOLDEN_DOT = """\
@@ -109,6 +112,59 @@ def minimal_cycles_brute(g, bound=4):
         for z in good
         if not any(w != z and all(a <= b for a, b in zip(w, z)) for w in good)
     ]
+
+
+def fundamental_cycle_dense(g):
+    """The body ``fundamental_cycle`` had before Laufer's worklist, kept as a
+    reference: a separate walk for connectivity, the dense intersection
+    matrix, and a rescan for the first positive score after each addition."""
+
+    def components(g):
+        n = len(g)
+        seen = [False] * n
+        adj = [[] for _ in range(n)]
+        for i, j in g.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        parts = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            parts += 1
+            stack = [start]
+            seen[start] = True
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+        return parts
+
+    n = len(g)
+    if n == 0 or components(g) != 1:
+        raise Disconnected("the fundamental cycle needs a nonempty connected graph")
+    if not G.is_contractible(g):
+        raise NotContractible("the intersection matrix is not negative definite")
+    m = G.intersection_matrix(g)
+    z = [1] * n
+    score = [sum(row) for row in m]
+    while True:
+        for i in range(n):
+            if score[i] > 0:
+                z[i] += 1
+                for j in range(n):
+                    score[j] += m[j][i]
+                break
+        else:
+            return G.Cycle(tuple(z))
+
+
+def cycle_or_error(f, g):
+    try:
+        return f(g).coefficients
+    except (Disconnected, NotContractible) as e:
+        return type(e)
 
 
 class TestConstruction:
@@ -361,6 +417,71 @@ class TestFundamentalCycle:
             G.fundamental_cycle(G.WeightedDualGraph((G.Vertex(0, -2), G.Vertex(0, -2)), ()))
         with pytest.raises(Disconnected):
             G.fundamental_cycle(G.chain(()))
+
+
+class TestLauferWorklist:
+    """``fundamental_cycle`` on neighbour lists against the dense reference."""
+
+    def test_matches_dense_reference_randomized(self):
+        rng = random.Random(20261019)
+        seen = {"loop": 0, "multi-edge": 0, "weight >= 0": 0}
+        outcomes = {}
+        for _ in range(10_000):
+            g = random_graph(rng)
+            want = cycle_or_error(fundamental_cycle_dense, g)
+            assert cycle_or_error(G.fundamental_cycle, g) == want, g
+            kind = want if isinstance(want, type) else tuple
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            seen["loop"] += any(i == j for i, j in g.edges)
+            seen["multi-edge"] += len(set(g.edges)) < len(g.edges)
+            seen["weight >= 0"] += any(v.weight >= 0 for v in g.vertices)
+        assert min(seen.values()) > 1000, seen
+        assert min(outcomes.get(k, 0) for k in (tuple, Disconnected, NotContractible)) > 1000, outcomes
+
+    def test_matches_dense_reference_on_curve_resolutions(self):
+        for p in range(3, 61):
+            for q in range(2, p):
+                if math.gcd(p, q) == 1:
+                    g = S.resolve_monomial(p, q).graph
+                    assert G.fundamental_cycle(g) == fundamental_cycle_dense(g), (p, q)
+
+    def test_adds_a_component_again_while_it_meets_positively(self):
+        # a (-1)-curve meeting three (-4)-curves: E_0 goes in twice in a row
+        star = G.WeightedDualGraph(
+            (G.Vertex(0, -1),) + tuple(G.Vertex(0, -4) for _ in range(3)), ((0, 1), (0, 2), (0, 3))
+        )
+        assert G.fundamental_cycle(star).coefficients == (3, 1, 1, 1)
+        assert fundamental_cycle_dense(star).coefficients == (3, 1, 1, 1)
+        assert minimal_cycles_brute(star) == [(3, 1, 1, 1)]
+
+    def test_no_dense_matrix(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("intersection_matrix built")
+
+        graphs = [S.resolve_monomial(97, 35).graph, G.cycle_graph((-3, -2, -4)), G.cycle_graph((-3,))]
+        want = [(fundamental_cycle_dense(g), [G.pairing(g, G.Cycle((2,) * len(g)), i)
+                                              for i in range(len(g))]) for g in graphs]
+        monkeypatch.setattr(G, "intersection_matrix", refuse)
+        for g, (z, rows) in zip(graphs, want):
+            assert G.fundamental_cycle(g) == z
+            assert [G.pairing(g, G.Cycle((2,) * len(g)), i) for i in range(len(g))] == rows
+        with pytest.raises(Disconnected):
+            G.fundamental_cycle(G.WeightedDualGraph((G.Vertex(0, -2), G.Vertex(0, -2)), ()))
+        with pytest.raises(NotContractible):
+            G.fundamental_cycle(G.chain((-1, -1)))
+
+    def test_memory_is_linear_in_the_graph(self):
+        # the dense body peaked at 382 MiB on this 5002-vertex resolution
+        g = S.resolve_monomial(10001, 2).graph
+        assert len(g) == 5002
+        tracemalloc.start()
+        try:
+            z = G.fundamental_cycle(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert all(G.pairing(g, z, i) <= 0 for i in range(0, len(g), 500))
 
 
 class TestSerialization:
