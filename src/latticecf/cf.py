@@ -302,7 +302,7 @@ def block_form(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not 0 < q < p:
         raise DomainError(f"block form needs p/q > 1 with q > 0, got ({p}, {q})")
-    return _join_end_twos(*_quotient_runs(_quotients(p, q)))
+    return _quotient_blocks(_quotients(p, q))
 
 
 def hj_blocks(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -335,34 +335,31 @@ def _hj_blocks(terms: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(ms), tuple(ns)
 
 
-def _quotient_runs(a: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Runs of 2s and large terms of ``[a1..an]+``, terms >= 1, by the rule
-    of :func:`e_to_hj`; an end term ``big+3 = 2`` is kept in place.
+def _quotient_blocks(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block pair of ``[a1..an]+``, terms >= 1, by the rule of :func:`e_to_hj`.
 
-    For odd n the last large term ``a_n+1`` is one less than an interior
-    one; a single term is head and last at once, so it stays ``a1``.  A
-    trailing 1 or a single 1 gives a term below 2, which :func:`_unary`
-    still renders as the right term.
+    The terms are ``a1+1, (2)^(a2-1), a3+2, (2)^(a4-1), ...``: the head and
+    the last term of odd n each lose one, so a single term stays ``a1``.
+    One pass over the quotients: a run of 2s grows until a large term closes
+    it, and a large term of 2 (from ``a1 = 1``, a single ``a1 = 2`` or a
+    last odd term 1) joins the runs beside it.  A single 1 gives the term
+    1, which :func:`_unary` still renders as the right term.
     """
-    runs = [x - 1 for x in a[1::2]]
-    runs.insert(0, 0)
-    big = [x - 1 for x in a[2::2]]
-    big.insert(0, a[0] - 2)
-    if len(a) % 2:
-        big[-1] -= 1
-        runs.append(0)
-    return runs, big
-
-
-def _join_end_twos(runs: list[int], big: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The block pair of ``(2)^runs[0], big[0]+3, ..., (2)^runs[-1]``, where
-    an end term ``big+3 = 2`` is no large term: it joins the runs beside it."""
-    if big and big[-1] == -1:
-        del big[-1]
-        runs[-2:] = [runs[-2] + 1 + runs[-1]]
-    if big and big[0] == -1:
-        del big[0]
-        runs[:2] = [runs[0] + 1 + runs[1]]
+    runs: list[int] = []
+    big: list[int] = []
+    run = 0
+    last = len(a) - 1
+    for k in range(0, last + 1, 2):
+        t = a[k] + 2 - (k == 0) - (k == last)
+        if t == 2:
+            run += 1
+        else:
+            runs.append(run)
+            big.append(t - 3)
+            run = 0
+        if k < last:
+            run += a[k + 1] - 1
+    runs.append(run)
     return tuple(runs), tuple(big)
 
 
@@ -416,7 +413,7 @@ def e_to_hj(terms) -> tuple[int, ...]:
     terms = _ints(terms)
     if not terms or min(terms) < 1:
         raise InvalidSequence(f"need a nonempty sequence of terms >= 1, got {terms}")
-    return _unary(*_quotient_runs(terms))
+    return _unary(*_quotient_blocks(terms))
 
 
 def hj_to_e(terms) -> tuple[int, ...]:

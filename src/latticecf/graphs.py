@@ -17,6 +17,7 @@ normalized ones, which forces this convention.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 from ._values import Value
 from .errors import Disconnected, DomainError, NotContractible, UnknownVertex
@@ -46,6 +47,9 @@ class Cycle(Value):
         self._coefficients = coefficients
 
 
+_label = attrgetter("label")
+
+
 class WeightedDualGraph(Value):
     """Finite multigraph with loops, weighted vertices and arrow markers.
 
@@ -70,9 +74,12 @@ class WeightedDualGraph(Value):
         for i in arrows:
             if not (0 <= i < n):
                 raise UnknownVertex(f"arrow at {i} leaves the vertex range")
-        labels = [v.label for v in verts if v.label is not None]
-        if len(labels) != len(set(labels)):
-            raise DomainError("vertex labels must be unique when present")
+        # one set over all labels passes when every label is distinct; when
+        # one repeats, even None, the labels that are present are compared
+        if len(set(map(_label, verts))) < n:
+            labels = [v.label for v in verts if v.label is not None]
+            if len(labels) != len(set(labels)):
+                raise DomainError("vertex labels must be unique when present")
         self._vertices = verts
         self._edges = edges
         self._arrows = arrows
@@ -294,20 +301,6 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
             todo += nbrs[i]
             todo.append(i)  # E_i may still meet the new cycle positively
     return Cycle(tuple(z))
-
-
-def pairing(g: WeightedDualGraph, z: Cycle, i: int) -> int:
-    """Intersection number of the cycle with the i-th component.
-
-    Row i of the intersection matrix read off the neighbour lists: the
-    weight times the own coefficient, plus the coefficient of each
-    neighbour.  O(edges), with no matrix built.
-    """
-    _check_vertex(g, i)
-    c = z.coefficients
-    if len(c) != len(g):
-        raise DomainError(f"a cycle of {len(c)} coefficients on a graph of {len(g)} vertices")
-    return g.vertices[i].weight * c[i] + sum(c[j] for j in _neighbours(g)[i])
 
 
 def _vertex_id(i: int) -> str:

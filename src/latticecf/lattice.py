@@ -12,7 +12,10 @@ elementary, which forces relations ``A_{n+1} + A_{n-1} = w_n * A_n`` with
 integer weights ``w_n >= 2``; the weight sequence is exactly the
 subtractive continued-fraction expansion of ``p/q``.  :func:`polygon`
 builds the chain from that expansion, while :func:`hull_oracle` rebuilds
-it by a direct convex-hull computation and is used to cross-check.
+it by a direct convex-hull computation and is used to cross-check.  The
+oracle hulls only the dominant rows: a row's leftmost cone point lies on
+no compact edge when an earlier row's is no farther from either cone
+edge, since it is then that point plus a nonzero cone point.
 
 Orientation conventions, fixed once for the whole module:
 
@@ -167,6 +170,12 @@ def cone_normal_form(u_minus: Vec, u_plus: Vec) -> tuple[ConeNF, Mat2]:
     ``primitive(u_plus)`` to (-q, p).  Swapping the rays replaces q by its
     inverse mod p.
     """
+    p, q, entries = _normal_pair(u_minus, u_plus)
+    return ConeNF(p, q), Mat2(*entries)
+
+
+def _normal_pair(u_minus: Vec, u_plus: Vec) -> tuple[int, int, tuple[int, int, int, int]]:
+    """The pair (p, q) of :func:`cone_normal_form` and the entries of its map."""
     u = primitive(u_minus)
     v = primitive(u_plus)
     if cross(u, v) == 0:
@@ -185,11 +194,10 @@ def cone_normal_form(u_minus: Vec, u_plus: Vec) -> tuple[ConeNF, Mat2]:
     alpha = cross(v, w) * d
     beta = cross(u, v) * d
     p, q = beta, (-alpha) % beta
-    # basis-coordinate map followed by the shear fixing u and moving v to (-q, p)
-    basis = Mat2(w[1] * d, -w[0] * d, -u[1] * d, u[0] * d)
+    # the basis-coordinate map (w[1], -w[0]; -u[1], u[0]) * d followed by the
+    # shear (1, k; 0, 1) that fixes u and moves v to (-q, p)
     k = (-q - alpha) // beta
-    to_nf = Mat2(1, k, 0, 1).compose(basis)
-    return ConeNF(p, q), to_nf
+    return p, q, ((w[1] - k * u[1]) * d, (k * u[0] - w[0]) * d, -u[1] * d, u[0] * d)
 
 
 def polygon(cone: ConeNF) -> ConePolygon:
@@ -227,22 +235,47 @@ def _vertex_indices(weights: tuple[int, ...]) -> tuple[int, ...]:
     return (0, *[n for n, w in enumerate(weights, 1) if w >= 3], len(weights) + 1)
 
 
+def _dominant_rows(p: int, q: int) -> list[Vec]:
+    """Row candidates (x_y, y), y = 1..p, of slack below every earlier row's.
+
+    Row y's candidate is its leftmost cone point, x_y = ceil(-q*y/p), of
+    slack s_y = p*x_y + q*y = q*y mod p: its distance from the second edge
+    in units of 1/p.  Row 0 gives (1, 0), of slack p.  One O(p) pass keeps
+    the running minimum.
+    """
+    rows = []
+    low, s = p, 0  # the slack of (1, 0), and s_0
+    for y in range(1, p + 1):
+        s += q  # s_y = s_{y-1} + q mod p
+        if s >= p:
+            s -= p
+        if s < low:
+            low = s
+            rows.append(((s - q * y) // p, y))
+    return rows
+
+
 def hull_oracle(cone: ConeNF) -> ConePolygon:
     """Hull chain recomputed by direct convex-hull geometry.
 
     In normal-form coordinates the cone is {y >= 0, p*x + q*y >= 0}.  Every
     chain point is the extreme cone point of its row y (any lattice point
     further left in the same row would push it inside the hull), so the
-    chain is the left convex hull of the row-extremal candidates
-    (ceil(-q*y/p), y) for y = 0..p.  Weights and vertices are then read off
-    the chain, independently of any continued-fraction computation.
+    chain lies among the row-extremal candidates (ceil(-q*y/p), y).  A
+    candidate is dominated when an earlier row's candidate has no larger
+    slack (:func:`_dominant_rows`): that one is no farther from either
+    edge, so the difference is a nonzero cone point and the candidate is a
+    sum of two nonzero cone points.  A compact hull edge lies on a line
+    l = c with c > 0 and l >= c at every nonzero cone point, so such a sum,
+    where l >= 2c, is on no compact edge.  The chain is the left convex
+    hull of the surviving rows alone: one O(p) pass, then an O(r)
+    monotone chain.  Weights and vertices are then read off the chain,
+    independently of any continued-fraction computation.
     """
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
-    p, q = cone.p, cone.q
     pts: list[Vec] = [(1, 0)]
-    for y in range(1, p + 1):
-        x = -((q * y) // p)
+    for x, y in _dominant_rows(cone.p, cone.q):
         # pop while pts[-2] -> pts[-1] -> (x, y) turns counterclockwise; a
         # collinear candidate stays, so each hull edge keeps its lattice points
         while len(pts) >= 2:
@@ -388,58 +421,41 @@ def duality_map(cone: ConeNF) -> DualityReport:
         raise RegularCone("a regular cone is excluded from typed duality")
     chain = polygon(cone)
     dual = supplementary(cone)
-    # the supplementary chain in this frame: its recursion from the mapped seeds
+    # the supplementary chain in this frame: its recursion from the seeds
+    # (1, 0) and (0, 1) moved by SUPPLEMENTARY_MAP
     dual_weights = hj_terms(dual.p, dual.q)
-    seeds = SUPPLEMENTARY_MAP.apply((1, 0)), SUPPLEMENTARY_MAP.apply((0, 1))
-    dual_pts = _chain_points(dual_weights, *seeds)
+    dual_pts = _chain_points(dual_weights, (-1, 0), (-1, 1))
     apex = (-cone.q, cone.p)
     if dual_pts[-1] != apex:
         raise InternalError(f"supplementary chain of {cone} did not close at (-q, p)")
     dual_vertex_indices = _vertex_indices(dual_weights)
-    where = {pt: i for i, pt in enumerate(dual_pts)}
+    where = dict(zip(dual_pts, range(len(dual_pts))))
+    vertex_set = set(dual_vertex_indices)
 
-    images = [EdgeImage("ray-", None, None, None, (-1, 0), where.get((-1, 0)))]
-    for a, b in chain.compact_edges():
-        pa, pb = chain.points[a], chain.points[b]
-        dx, dy = pb[0] - pa[0], pb[1] - pa[1]
-        length = math.gcd(dx, dy)  # one gcd for both the image and the length
-        direction = (dx // length, dy // length)
-        images.append(EdgeImage("compact", a, b, length, direction, where.get(direction)))
-    images.append(EdgeImage("ray+", None, None, None, apex, where.get(apex)))
-
-    dual_vertex_set = set(dual_vertex_indices)
-    compact = images[1:-1]
-    extremes = [compact[0]] if len(compact) == 1 else [compact[0], compact[-1]]
-    last = len(chain.points) - 1
+    pts, ends = chain.points, chain.vertex_indices
+    indices = [where.get((-1, 0))]
+    images = [EdgeImage("ray-", None, None, None, (-1, 0), indices[0])]
     exceptional = []
-    for im in extremes:
-        free_ends = (im.start != 0) + (im.end != last)
-        exceptional.append(
-            ExceptionalPoint(
-                im.start, im.end, im.length, im.image,
-                im.image_index is not None and im.image_index in dual_vertex_set,
-                im.length + free_ends >= 3,
-            )
-        )
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        dx, dy = bx - ax, by - ay
+        length = math.gcd(dx, dy)  # one gcd for both the image and the length
+        image = (dx // length, dy // length)
+        indices.append(where.get(image))
+        images.append(EdgeImage("compact", a, b, length, image, indices[-1]))
+        if k == 0 or b == ends[-1]:  # the first and the last compact edge
+            exceptional.append(ExceptionalPoint(a, b, length, image, indices[-1] in vertex_set,
+                                                length + (a != 0) + (b != ends[-1]) >= 3))
+    indices.append(where.get(apex))
+    images.append(EdgeImage("ray+", None, None, None, apex, indices[-1]))
 
-    indices = [im.image_index for im in images]
-    images_on_dual = None not in indices
-    covered = images_on_dual and dual_vertex_set <= set(indices)
-    ordered = images_on_dual and all(i < j for i, j in zip(indices, indices[1:]))
+    on_dual = None not in indices
+    seen = set(indices)
     return DualityReport(
-        cone=cone,
-        dual=dual,
-        chain=chain,
-        dual_points=dual_pts,
-        dual_vertex_indices=dual_vertex_indices,
-        images=tuple(images),
-        exceptional=tuple(exceptional),
-        images_on_dual=images_on_dual,
-        vertices_covered=covered,
-        orientation_respected=ordered,
-        exceptional_rule_ok=all(
-            ex.is_vertex == ex.expected_vertex for ex in exceptional
-        ),
+        cone, dual, chain, dual_pts, dual_vertex_indices, tuple(images), tuple(exceptional),
+        on_dual, on_dual and vertex_set <= seen,
+        on_dual and indices == sorted(seen),  # strictly increasing
+        all(ex.is_vertex == ex.expected_vertex for ex in exceptional),
     )
 
 
@@ -454,10 +470,8 @@ def dual_cone(cone: ConeNF) -> ConeNF:
         raise RegularCone("a regular cone is self-dual and excluded here")
     u: Vec = (1, 0)
     v: Vec = (-cone.q, cone.p)
-    n_u = _inward_normal(u, v)
-    n_v = _inward_normal(v, u)
-    nf, _ = cone_normal_form(n_u, n_v)
-    return nf
+    p, q, _ = _normal_pair(_inward_normal(u, v), _inward_normal(v, u))
+    return ConeNF(p, q)
 
 
 def _inward_normal(edge: Vec, other: Vec) -> Vec:

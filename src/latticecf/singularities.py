@@ -25,6 +25,7 @@ Everything here is a consumer of the continued-fraction and cone modules:
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from ._values import Value
 from .cf import MINUS, _continuants, _hj_blocks, _ints, _involute_runs, _quotients, _unary
@@ -243,6 +244,11 @@ def cusp_dual(c: CuspCycle) -> CuspCycle:
     return CuspCycle((t[0] + 1,) + t[1:-1])
 
 
+def _labels(n: int) -> list[str]:
+    """The labels E_1, ..., E_n of a curve resolution's vertices, in order."""
+    return [f"E_{k}" for k in range(1, n + 1)]
+
+
 class CurveResolution(Value):
     """Dual graph of the total transform of a monomial plane curve.
 
@@ -290,25 +296,23 @@ def resolve_monomial(p: int, q: int) -> CurveResolution:
     # without its first large term: (2)^ns[i], then big[i + 1] + 3.  The
     # last run of the chain ends at the -1 apex.
     weights: list[int] = []
-    chain_ids: list[int] = []
-    dual_ids: list[int] = []
+    ends: list[int] = []  # the last curve of each run, alternately of the chain and its dual
     for m, n, b in zip(ms, ns, big[1:]):
-        k = len(weights)
-        chain_ids.extend(range(k, k + m + 1))
         weights += [-2] * m + [-(n + 3)]
-        k = len(weights)
-        dual_ids.extend(range(k, k + n + 1))
+        ends.append(len(weights) - 1)
         weights += [-2] * n + [-(b + 3)]
-    k = len(weights)
-    chain_ids.extend(range(k, k + ms[-1] + 1))
+        ends.append(len(weights) - 1)
     weights += [-2] * ms[-1] + [-1]
-    apex = chain_ids[-1]  # the last vertex: every edge (i, j) below has i < j
-    edges = list(zip(chain_ids, chain_ids[1:]))
-    edges += zip(dual_ids, dual_ids[1:])
-    edges.append((dual_ids[-1], apex))
-    edges.sort()
-    verts = tuple(Vertex(0, w, f"E_{k + 1}") for k, w in enumerate(weights))
-    return CurveResolution._trusted(WeightedDualGraph._trusted(verts, tuple(edges), (apex,)))
+    apex = len(weights) - 1
+    # each curve but the apex meets one later curve: the next one, except at
+    # the end of a run, which skips the other chain's next run to its own
+    later = list(range(1, apex + 1))
+    for k, end in enumerate(ends[:-1]):
+        later[end] = ends[k + 1] + 1
+    later[ends[-1]] = apex
+    edges = tuple(zip(range(apex), later))
+    verts = tuple(map(Vertex, repeat(0), weights, _labels(len(weights))))
+    return CurveResolution._trusted(WeightedDualGraph._trusted(verts, edges, (apex,)))
 
 
 def blowup_oracle(p: int, q: int) -> CurveResolution:
@@ -349,7 +353,7 @@ def blowup_oracle(p: int, q: int) -> CurveResolution:
         else:
             a -= b
             curve_b = new
-    verts = tuple(Vertex(0, w, f"E_{i + 1}") for i, w in enumerate(weights))
+    verts = tuple(map(Vertex, repeat(0), weights, _labels(len(weights))))
     arrow = len(weights) - 1
     return CurveResolution(WeightedDualGraph(verts, tuple(edges), (arrow,)))
 

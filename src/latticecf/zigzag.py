@@ -111,26 +111,36 @@ def read(d: ZigzagDiagram, which: str) -> tuple[int, ...]:
 
 
 def rule_ok(d: ZigzagDiagram) -> bool:
-    """Check the shape of the diagram and the weight rule at every vertex.
+    """Check the shape of the diagram, its value, and the weight rule at every vertex.
 
     The four chains must be sequences of integers of lengths s+1 (right
     edges), s (right weights), s+2 (left edges) and s+1 (left weights), and
-    the left chain must start and end with a unit edge.  Each vertex weight
-    must equal the length of the opposite edge plus the number of its
-    endpoints distinct from the two base points and the apex.  A malformed
-    diagram gives False; this never raises.
+    the left chain must start and end with a unit edge.  The value must be
+    a rational > 1 whose block form is the right chain, so that it equals
+    the chain's reading, and ``extreme_is_vertex`` must say whether the end
+    left weights reach 3.  Each vertex weight must equal the length of the
+    opposite edge plus the number of its endpoints distinct from the two
+    base points and the apex.  A malformed diagram gives False; this never
+    raises.
     """
     try:
-        re, rw, le, lw = map(tuple, (d.right_edge_lengths, d.right_vertex_weights,
-                                     d.left_edge_lengths, d.left_vertex_weights))
-    except TypeError:  # a chain that is no sequence
+        re, rw, le, lw, flags = map(tuple, (d.right_edge_lengths, d.right_vertex_weights,
+                                            d.left_edge_lengths, d.left_vertex_weights,
+                                            d.extreme_is_vertex))
+    except TypeError:  # a field that is no sequence
         return False
     s = len(rw)
     if (len(re), len(le), len(lw)) != (s + 1, s + 2, s + 1):
         return False
     if not all(isinstance(x, int) for x in re + rw + le + lw):
         return False
-    if le[0] != 1 or le[-1] != 1:
+    if le[0] != 1 or le[-1] != 1 or flags != (lw[0] >= 3, lw[-1] >= 3):
+        return False
+    value = d.value
+    if not isinstance(value, (int, Fraction)) or value <= 1:
+        return False
+    if block_form(value.numerator, value.denominator) != (
+            tuple([e - 1 for e in re]), tuple([w - 3 for w in rw])):
         return False
     # right vertex j (1-based) faces the left edge between V_j' and V_{j+1}'
     for j in range(1, s + 1):

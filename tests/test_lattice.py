@@ -265,6 +265,21 @@ def assert_same_hull(c):
     assert got == want
 
 
+class TestHullOracleDominance:
+    def test_surviving_rows_are_the_chain(self):
+        # every row whose slack is not below all earlier ones is dominated,
+        # and no chain point is: the survivors are A_1, ..., A_{r+1}
+        for p, q in coprime_pairs(500):
+            rows = lattice._dominant_rows(p, q)
+            points = lattice.polygon(lattice.ConeNF(p, q)).points
+            assert len(rows) == len(points) - 1 and rows == list(points[1:]), (p, q)
+
+    def test_survivors_are_row_extremal_cone_points(self):
+        for p, q in coprime_pairs(60):
+            for x, y in lattice._dominant_rows(p, q):
+                assert p * x + q * y >= 0 > p * (x - 1) + q * y, (p, q, x, y)
+
+
 class TestHullOracleParent:
     def test_sweep(self):
         for p, q in coprime_pairs(200):

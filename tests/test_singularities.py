@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -370,6 +371,23 @@ class TestMonomialCurves:
         for p, q in coprime_pairs(30, q_min=2):
             g = S.resolve_monomial(p, q).graph
             assert G.is_contractible(G.WeightedDualGraph(g.vertices, g.edges))
+
+    @pytest.mark.parametrize("weights, labels, arrows, message", [
+        ((-1, -1), ("E_1", "E_2"), (1,), "the arrowhead must sit on the unique -1 vertex"),
+        ((-1, -2), ("E_1", "E_2"), (1,), "the arrowhead must sit on the unique -1 vertex"),
+        ((-2, -2), ("E_1", "E_2"), (1,), "the arrowhead must sit on the unique -1 vertex"),
+        ((-2, -1), ("E_1", "E_2"), (), "a curve resolution carries exactly one arrowhead"),
+        ((-2, -1), ("E_1", "E_2"), (1, 1), "a curve resolution carries exactly one arrowhead"),
+        ((-3, -2, -1), ("E_1", "E_3", "E_2"), (2,), "vertex 1 must be labelled E_2, got 'E_3'"),
+        ((-3, -2, -1), ("E_1", None, "E_3"), (2,), "vertex 1 must be labelled E_2, got None"),
+        ((-3, -2, -1), ("E_2", "E_3", "E_1"), (2,), "vertex 0 must be labelled E_1, got 'E_2'"),
+    ])
+    def test_checks_raise_their_messages(self, weights, labels, arrows, message):
+        verts = tuple(map(G.Vertex, (0,) * len(weights), weights, labels))
+        path = tuple(zip(range(len(verts) - 1), range(1, len(verts))))
+        graph = G.WeightedDualGraph(verts, path, arrows)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            S.CurveResolution(graph)
 
     def test_labels_must_follow_vertex_order(self):
         g = S.resolve_monomial(11, 4).graph

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import latticecf
 from latticecf import _values, cf, graphs as G, lattice as L, singularities as S, zigzag as Z
@@ -264,6 +264,12 @@ class TestTrustedPath:
                         y = rebuilt(x)
                         assert y == x and repr(y) == repr(x), (name, p, q)
 
+    # Its own deadline: a draw of up to 10^4 blow-ups gives resolution graphs
+    # of up to 10^4 vertices, which ``rebuilt`` walks through the public
+    # constructors before two reprs are taken.  The largest draws ran 70-240 ms
+    # on a 2-vCPU host, against Hypothesis's default of 200 ms; 1 s keeps the
+    # check on runaway cost without failing on a busy host.
+    @settings(deadline=1000)
     @given(coprime_pairs())
     def test_values_equal_their_public_rebuild(self, pq):
         for name, build in BUILDERS.items():

@@ -192,6 +192,40 @@ class TestRead:
         as_lists = reshaped(d, **{f: list(getattr(d, f)) for f in zigzag.ZigzagDiagram.__slots__[1:5]})
         assert zigzag.rule_ok(as_lists)
 
+    def test_rule_checks_the_value_and_the_extreme_flags(self):
+        d = zigzag.build(Fraction(11, 7))
+        assert d.extreme_is_vertex == (True, True) and zigzag.rule_ok(d)
+        assert not zigzag.rule_ok(reshaped(d, value=Fraction(13, 7)))
+        assert not zigzag.rule_ok(reshaped(d, extreme_is_vertex=(False, True)))
+        assert zigzag.rule_ok(reshaped(d, value=Fraction(22, 14)))  # the same number
+
+    @pytest.mark.parametrize("fields", [
+        {"value": "junk"},
+        {"value": None},
+        {"value": 1.5},
+        {"value": Fraction(1, 2)},
+        {"value": 1},
+        {"value": 5},
+        {"extreme_is_vertex": None},
+        {"extreme_is_vertex": (True,)},
+    ])
+    def test_rule_is_false_on_a_wrong_value_or_flags(self, fields):
+        assert zigzag.rule_ok(reshaped(zigzag.build(Fraction(11, 7)), **fields)) is False
+
+    @given(st.integers(2, 400).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+           st.sampled_from(zigzag.ZigzagDiagram.__slots__), st.integers(0, 10**6), st.integers(-2, 2))
+    def test_rule_holds_exactly_on_the_diagram_of_its_value(self, pq, name, at, delta):
+        assume(math.gcd(*pq) == 1)
+        d = zigzag.build(Fraction(*pq))
+        if name == "value":
+            other = reshaped(d, value=d.value + delta)
+        elif name == "extreme_is_vertex":
+            other = reshaped(d, extreme_is_vertex=(delta > 0, delta < 0))
+        else:
+            assume(getattr(d, name))  # 2 = [2]- has no right vertex
+            other = altered(d, name, at % len(getattr(d, name)), delta)
+        assert zigzag.rule_ok(other) == (other.value > 1 and other == zigzag.build(other.value))
+
     @pytest.mark.parametrize("value", [Fraction(11, 7), Fraction(11, 4), Fraction(97, 35), 5])
     def test_readings_follow_the_left_chain(self, value):
         d = zigzag.build(value)
