@@ -116,7 +116,11 @@ def cycle_graph(weights, genus=0) -> WeightedDualGraph:
 
 
 def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
-    """Matrix (E_i . E_j): weights on the diagonal, edge counts off it."""
+    """Matrix (E_i . E_j): weights on the diagonal, edge counts off it.
+
+    Dense, for callers that want the matrix itself; no library function
+    calls it, since the minors and Laufer's loop read the edge list.
+    """
     n = len(g)
     m = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
@@ -146,20 +150,21 @@ def _check_vertex(g: WeightedDualGraph, i: int):
 
 
 def _minors(g: WeightedDualGraph):
-    """Yield the leading principal minors M_1, M_2, ... of the intersection matrix.
+    """Yield the leading principal minors M_1, ..., M_n of the intersection matrix.
 
-    On a chain, whose edges are exactly the path (0, 1), ..., (n-2, n-1),
-    the matrix is tridiagonal with ones beside the diagonal, so the minors
-    are continuants: ``M_k = w_k * M_{k-1} - M_{k-2}`` from M_0 = 1 and
-    M_{-1} = 0, one multiply-add per vertex, and all n of them are yielded,
-    zero minors included.
-
-    Any other graph takes one sparse symmetric Bareiss pass in vertex
-    order, whose pivots are the minors.  Step t sets
-    ``a_ij = (M_t * a_ij - a_it * a_tj) / M_{t-1}`` for pairs in pivot row t
-    only; other entries keep the step s they were last set at and are
-    rescaled on use by M_t / M_s, exactly.  That pass stops after the first
-    zero minor.  O(n) multiply-adds on trees, fill-bound otherwise.
+    On a chain, whose edges are exactly (0, 1), ..., (n-2, n-1), they are
+    continuants: ``M_k = w_k * M_{k-1} - M_{k-2}`` from M_0 = 1, M_{-1} = 0.
+    Any other graph takes one sparse symmetric Bareiss pass in vertex order
+    over ``B_ij = det A[S+i, S+j]``, S the rows eliminated, D = det A[S, S].
+    Row t goes alone, ``B'_ij = (B_tt * B_ij - B_it * B_tj) / D``, or is
+    deferred if B_tt = 0, unless it meets a deferred row d: then the two go
+    as the pivot [[0, x], [x, B_tt]], x = B_dt, of determinant -x^2, with
+    ``B'_ij = det B[{d,t,i}, {d,t,j}] / D^2`` by Sylvester's identity
+    (Bareiss 1968).  Deferred rows keep a zero diagonal and meet each other
+    in 0, so M_k is 0 while a row is deferred and D otherwise.  Entries a
+    step leaves alone keep the step s they were set at and are rescaled on
+    use by D / D_s.  O(n + fill), plus one check per deferred row per row;
+    no dense matrix.
     """
     n = len(g.vertices)
     if g.edges == tuple(zip(range(n - 1), range(1, n))):
@@ -168,29 +173,47 @@ def _minors(g: WeightedDualGraph):
             before, minor = minor, v.weight * minor - before
             yield minor
         return
-    rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (a_ij, step), j >= i
+    rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (B_ij, step), j >= i
     for i, j in g.edges:  # a loop (i, i) adds nothing to the matrix
         rows[i][j] = (rows[i].get(j, (0, 0))[0] + (i != j), 0)
-    minors = [1]
+    dets, deferred = [1], []  # D after each step; the rows waiting for a partner
+
+    def now(entry):  # B_ij at this step, from (B_ij, the step it was set at)
+        b, s = entry
+        return b if s == step else b * prev // dets[s]
+
     for t, row in enumerate(rows):
-        prev = minors[t]
-        a, s = row.pop(t)
-        pivot = a if s == t else a * prev // minors[s]
-        yield pivot
-        if not pivot:
-            return
-        minors.append(pivot)
+        step, prev = len(dets) - 1, dets[-1]
+        c = now(row.pop(t))
+        # (i, B_id, B_it) for every row i left that the pivot rows meet
+        cols = [(j, 0, b if s == step else b * prev // dets[s]) for j, (b, s) in row.items()]
+        met = deferred and [(i, x) for i in deferred if (x := now(rows[i].pop(t, (0, step))))]
+        if met:
+            (d, x), *others = met  # row t pairs with the first deferred row it meets
+            deferred.remove(d)
+            tail = {i: [0, b] for i, b in others}
+            tail.update((j, [0, b]) for j, _, b in cols)
+            for i, e in rows[d].items():
+                if i > t:  # a column before t is eliminated, or deferred and met in 0
+                    tail.setdefault(i, [0, 0])[0] = now(e)
+            cols = [(i, ld, lt) for i, (ld, lt) in tail.items()]
+            det, scale = -x * x, prev * prev
+        elif c:
+            d, det, scale = None, c, prev
+        else:
+            deferred.append(t)
+            yield 0
+            continue
+        dets.append(det * prev // scale)
+        # each column through the pivot's adjugate: [[1]] alone, [[B_tt, -x], [-x, 0]] with d
+        adj = cols if d is None else [(i, c * ld - x * lt, -x * ld) for i, ld, lt in cols]
         # fill-in can append a key out of order, so each pair is ordered as it is met
-        tail = list(row.items())
-        for k, (x, (left, sx)) in enumerate(tail):
-            if sx != t:
-                left = left * prev // minors[sx]
-            for y, (right, sy) in tail[k:]:
-                if sy != t:
-                    right = right * prev // minors[sy]
-                i, j = (x, y) if x <= y else (y, x)
-                a, s = rows[i].get(j, (0, t))
-                rows[i][j] = ((pivot * a * prev // minors[s] - left * right) // prev, t + 1)
+        for k, (i, wd, wt) in enumerate(adj):
+            for j, bd, bt in cols[k:]:
+                lo, hi = (i, j) if i <= j else (j, i)
+                b, s = rows[lo].get(hi, (0, step))
+                rows[lo][hi] = ((det * b * prev // dets[s] - wd * bd - wt * bt) // scale, step + 1)
+        yield 0 if deferred else dets[-1]
 
 
 def is_contractible(g: WeightedDualGraph) -> bool:
@@ -215,42 +238,11 @@ def is_contractible_minors(g: WeightedDualGraph) -> bool:
 def leading_principal_minors(g: WeightedDualGraph) -> tuple[int, ...]:
     """Exact determinants of the top-left k x k blocks, k = 1..n.
 
-    The minors of :func:`_minors`: all n of them on a chain, by the
-    continuant recursion in O(n).  On any other graph the Bareiss pass stops
-    at a zero minor, and each later k x k block costs O(k^3) in ``_det``:
-    O(n^4) in all, about 0.04 s, 0.5 s and 7 s for trees of 40, 80 and 160
-    vertices whose second minor is 0.  :func:`is_contractible` stops at the
-    first wrong sign, so only this function reaches ``_det``.
+    All n minors of :func:`_minors`, zero ones included, from one sparse
+    pass that defers a zero pivot and eliminates it in a 2 x 2 one: O(n +
+    fill) plus one check per deferred row per row; no dense matrix.
     """
-    minors = list(_minors(g))
-    if len(minors) < len(g):
-        m = intersection_matrix(g)
-        minors += [_det([row[:k] for row in m[:k]]) for k in range(len(minors) + 1, len(g) + 1)]
-    return tuple(minors)
-
-
-def _det(m) -> int:
-    """Integer determinant by fraction-free elimination with row swaps.
-
-    Reached only from :func:`leading_principal_minors` on a graph that is
-    not a chain and has a zero leading minor; the one dense matrix the
-    module still builds is its input.
-    """
-    m = [list(row) for row in m]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if i is None:
-                return 0
-            m[k], m[i], sign = m[i], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+    return tuple(_minors(g))
 
 
 def _neighbours(g: WeightedDualGraph) -> list[list[int]]:
@@ -322,16 +314,40 @@ def to_json(g: WeightedDualGraph) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _field(obj, key: str, *kinds: type):
+    """The value at ``key`` of a JSON object, of one of ``kinds``; None if missing."""
+    if type(obj) is not dict or type(obj.get(key)) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{key!r} must be {names} in {obj!r:.60}")
+    return obj.get(key)
+
+
 def from_json(text: str) -> WeightedDualGraph:
-    """Parse the JSON form back; vertex order follows the listing."""
-    doc = json.loads(text)
-    ids = {rec["id"]: i for i, rec in enumerate(doc["vertices"])}
-    verts = tuple(
-        Vertex(rec["genus"], rec["weight"], rec.get("label"))
-        for rec in doc["vertices"]
-    )
-    edges = tuple((ids[a], ids[b]) for a, b in doc["edges"])
-    arrows = tuple(ids[a] for a in doc["arrows"])
+    """Parse the JSON form back; vertex order follows the listing.
+
+    Anything but a ``lattice-cf/1`` graph with int genus and weight raises
+    DomainError naming the key, and an id no vertex has UnknownVertex.
+    """
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as e:
+        raise DomainError(f"not a JSON document: {e}") from None
+    for key, want in (("schema", "lattice-cf/1"), ("type", "graph")):
+        if _field(doc, key, str) != want:
+            raise DomainError(f"{key!r} must be {want!r}, got {doc[key]!r:.60}")
+    recs = _field(doc, "vertices", list)
+    ids = {_field(rec, "id", str): i for i, rec in enumerate(recs)}
+    if len(ids) < len(recs):
+        raise DomainError("'id' must differ between vertices")
+    verts = tuple(Vertex(_field(rec, "genus", int), _field(rec, "weight", int),
+                         _field(rec, "label", str, type(None))) for rec in recs)
+    try:
+        edges = tuple((ids[a], ids[b]) for a, b in _field(doc, "edges", list))
+        arrows = tuple(ids[a] for a in _field(doc, "arrows", list))
+    except KeyError as e:
+        raise UnknownVertex(f"no vertex with id {e.args[0]!r}") from None
+    except (TypeError, ValueError):  # an edge that is no pair, or an unhashable id
+        raise DomainError("'edges' must hold pairs of vertex ids, 'arrows' vertex ids") from None
     return WeightedDualGraph(verts, edges, arrows)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -11,7 +12,9 @@ from hypothesis import given, strategies as st
 
 from latticecf import graphs as G
 from latticecf import singularities as S
-from latticecf.errors import Disconnected, DomainError, NotContractible, UnknownVertex
+from latticecf.errors import (
+    Disconnected, DomainError, LatticeCFError, NotContractible, UnknownVertex,
+)
 
 GOLDEN_DOT = """\
 graph dual {
@@ -76,9 +79,30 @@ def laplace_det(m):
     )
 
 
-def block_minors(g):
+def block_minors(g, det=laplace_det):
     m = [list(row) for row in G.intersection_matrix(g)]
-    return tuple(laplace_det([row[:k] for row in m[:k]]) for k in range(1, len(g) + 1))
+    return tuple(det([row[:k] for row in m[:k]]) for k in range(1, len(g) + 1))
+
+
+def dense_det(m):
+    """Reference determinant by fraction-free elimination with row swaps:
+    the dense routine ``leading_principal_minors`` called after a zero minor
+    before the sparse pass ran through zero minors.  O(n^3) per matrix."""
+    m = [list(row) for row in m]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def is_path(g):
@@ -310,7 +334,7 @@ class TestContractibility:
 
     def test_singular_leading_block(self):
         # on a chain the continuant recursion runs through minor_2 = 0; on the
-        # hexagon minor_1 = 0 stops the Bareiss pass and the rest come from _det
+        # hexagon the Bareiss pass defers row 0 at minor_1 = 0 and runs on
         g = G.chain((-1, -1, -2))
         assert G.leading_principal_minors(g) == (-1, 0, 1) == block_minors(g)
         assert not G.is_contractible(g) and not G.is_contractible_minors(g)
@@ -328,7 +352,7 @@ class TestContractibility:
             minors = G.leading_principal_minors(g)
             assert minors == block_minors(g)
             singular += 0 in minors[:-1] and not is_path(g)
-        assert singular > 100  # the _det fallback after a zero minor is exercised
+        assert singular > 100  # the Bareiss pass through a zero minor is exercised
 
     def test_long_chains_against_fraction_elimination(self):
         rng = random.Random(3)
@@ -373,9 +397,83 @@ class TestChainMinors:
         minors = G.leading_principal_minors(g)
         assert minors == block_minors(g)
         assert G.is_contractible(g) == fraction_elimination_contractible(g)
-        # a zero minor stops the Bareiss pass, never the continuant recursion
+        # the Bareiss pass runs through a zero minor, as the continuant recursion does
         assert 0 in minors[:-1]
-        assert len(list(G._minors(g))) < len(g)
+        assert len(list(G._minors(g))) == len(g)
+
+
+def zero_graph(n, edges):
+    return G.WeightedDualGraph(tuple(G.Vertex(0, 0) for _ in range(n)), edges)
+
+
+# weight-0 vertices whose leading minors run through 2..n zeros
+ZERO_FAMILIES = {
+    "no edges": lambda n: zero_graph(n, ()),
+    "edges (i, i+2)": lambda n: zero_graph(n, tuple((i, i + 2) for i in range(n - 2))),
+    "star from 0": lambda n: zero_graph(n, tuple((0, i) for i in range(1, n))),
+}
+
+
+def tree_with_zero_minor(n):
+    """The chain (-1, -1, -2, ..., -2) on n - 1 vertices plus a (-2)-leaf on
+    vertex 2: a tree, not a path, whose second minor is 0."""
+    weights = (-1, -1) + (-2,) * (n - 2)
+    edges = tuple((i, i + 1) for i in range(n - 2)) + ((2, n - 1),)
+    return G.WeightedDualGraph(tuple(G.Vertex(0, w) for w in weights), edges)
+
+
+class TestMinorsThroughZeros:
+    """The Bareiss pass yields all n minors: a row with a zero pivot is
+    deferred and eliminated with the first later row it meets."""
+
+    @pytest.mark.parametrize("family", sorted(ZERO_FAMILIES))
+    def test_runs_of_zero_minors(self, family):
+        for n in range(3, 31):
+            g = ZERO_FAMILIES[family](n)
+            minors = G.leading_principal_minors(g)
+            assert minors == block_minors(g, laplace_det if n <= 9 else dense_det), n
+            assert minors == tuple(G._minors(g))
+            assert minors.count(0) >= 2 and not G.is_contractible(g)
+
+    def test_interleaved_deferrals(self):
+        # rows 0 and 1 are both deferred; row 2 meets both and pairs with 0,
+        # row 3 meets 1, and row 4 is deferred until row 5 meets it
+        g = zero_graph(6, ((0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (1, 2)))
+        assert G.leading_principal_minors(g) == block_minors(g) == (0, 0, 0, 1, 0, -1)
+
+    def test_against_dense_reference_randomized(self):
+        rng = random.Random(20261020)
+        runs = 0
+        for _ in range(800):
+            g = random_graph(rng, max_vertices=14)
+            minors = G.leading_principal_minors(g)
+            assert minors == block_minors(g, dense_det)
+            assert G.is_contractible(g) == fraction_elimination_contractible(g)
+            runs += any(a == b == 0 for a, b in zip(minors, minors[1:]))
+        assert runs > 50  # runs of two or more zero minors are exercised
+
+    def test_no_dense_matrix(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("intersection_matrix built")
+
+        hexagon = G.cycle_graph((0, 0, -2, 0, 0, -1))
+        graphs = [tree_with_zero_minor(40), hexagon, zero_graph(5, ((0, 4),))]
+        want = [block_minors(g, dense_det) for g in graphs]
+        monkeypatch.setattr(G, "intersection_matrix", refuse)
+        for g, minors in zip(graphs, want):
+            assert G.leading_principal_minors(g) == minors
+            assert not G.is_contractible(g)
+
+    def test_tree_with_a_zero_minor_is_linear(self):
+        # a dense O(k^3) determinant per block after M_2 = 0 took 5 s at n = 160
+        g = tree_with_zero_minor(1000)
+        start = time.perf_counter()
+        minors = G.leading_principal_minors(g)
+        assert time.perf_counter() - start < 0.05
+        path = tuple((-1) ** (k + 1) * (k - 2) for k in range(1, 1000))  # as on the chain
+        assert minors == path + (-2 * path[-1],)
+        small = tuple((-1) ** (k + 1) * (k - 2) for k in range(1, 40))
+        assert block_minors(tree_with_zero_minor(40), dense_det) == small + (-2 * small[-1],)
 
 
 class TestEulerNormalized:
@@ -543,3 +641,97 @@ class TestSerialization:
     def test_json_deterministic(self):
         g = G.cycle_graph((-2, -3, -4))
         assert G.to_json(g) == G.to_json(g)
+
+
+def graph_doc(**fields):
+    """The JSON form of a two-vertex chain with the given top-level fields replaced."""
+    doc = json.loads(G.to_json(G.chain((-2, -3))))
+    return json.dumps({**doc, **fields})
+
+
+def vertex_doc(**fields):
+    """The same document with the given fields of its first vertex replaced."""
+    doc = json.loads(G.to_json(G.chain((-2, -3))))
+    doc["vertices"][0].update(fields)
+    return json.dumps(doc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(
+        ["v0", "v1", "v9", "", "graph", "cone", "lattice-cf/1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "genus", "weight", "label", "schema", "type"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """A document of ``to_json`` with one to three places deleted or replaced."""
+    doc = json.loads(G.to_json(random_graph(random.Random(draw(st.integers(0, 10**6))))))
+    for _ in range(draw(st.integers(1, 3))):
+        places = [()]
+        for path in places:  # grows as it is walked: every place in the document
+            node = doc
+            for key in path:
+                node = node[key]
+            if isinstance(node, (dict, list)):
+                keys = node if isinstance(node, dict) else range(len(node))
+                places += [path + (key,) for key in keys]
+        path = draw(st.sampled_from(places))
+        value = draw(json_values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+class TestJsonReader:
+    """``from_json`` reads a ``lattice-cf/1`` graph document and raises only
+    typed errors, naming the key or id at fault, on anything else."""
+
+    @pytest.mark.parametrize("text, error, named", [
+        pytest.param("{}", DomainError, "'schema'", id="empty object"),
+        pytest.param("[]", DomainError, "'schema'", id="array"),
+        pytest.param("not json", DomainError, "not a JSON document", id="not json"),
+        pytest.param("[" * 100000, DomainError, "not a JSON document", id="deep nesting"),
+        pytest.param(graph_doc(schema="x", type="cone"), DomainError, "'schema'", id="other schema"),
+        pytest.param(graph_doc(type="cone"), DomainError, "'type'", id="other type"),
+        pytest.param(graph_doc(vertices={}), DomainError, "'vertices'", id="vertices not a list"),
+        pytest.param(graph_doc(vertices=["v0"]), DomainError, "'id'", id="vertex not an object"),
+        pytest.param(graph_doc(edges=[["v0", "v9"]]), UnknownVertex, "'v9'", id="edge to unknown id"),
+        pytest.param(graph_doc(edges=[["v0"]]), DomainError, "'edges'", id="edge not a pair"),
+        pytest.param(graph_doc(edges=[["v0", ["v1"]]]), DomainError, "'edges'", id="unhashable id"),
+        pytest.param(graph_doc(arrows=["v2"]), UnknownVertex, "'v2'", id="arrow at unknown id"),
+        pytest.param(graph_doc(arrows=None), DomainError, "'arrows'", id="arrows null"),
+        pytest.param(vertex_doc(genus=0.5), DomainError, "'genus'", id="fractional genus"),
+        pytest.param(vertex_doc(genus=True), DomainError, "'genus'", id="boolean genus"),
+        pytest.param(vertex_doc(genus=-1), DomainError, "genus", id="negative genus"),
+        pytest.param(vertex_doc(weight="-2"), DomainError, "'weight'", id="string weight"),
+        pytest.param(vertex_doc(label=7), DomainError, "'label'", id="integer label"),
+        pytest.param(vertex_doc(id="v1"), DomainError, "'id'", id="repeated id"),
+    ])
+    def test_malformed_examples_name_their_fault(self, text, error, named):
+        with pytest.raises(error) as info:
+            G.from_json(text)
+        assert type(info.value) is error and named in str(info.value)
+
+    def test_optional_label(self):
+        doc = json.loads(G.to_json(G.chain((-2,))))
+        del doc["vertices"][0]["label"]
+        assert G.from_json(json.dumps(doc)) == G.chain((-2,))
+
+    @given(malformed_documents() | st.text(max_size=20))
+    def test_only_typed_errors(self, text):
+        try:
+            g = G.from_json(text)
+        except LatticeCFError:
+            return
+        assert G.from_json(G.to_json(g)) == g
