@@ -105,22 +105,14 @@ def chain(weights, genus=0) -> WeightedDualGraph:
 def cycle_graph(weights, genus=0) -> WeightedDualGraph:
     """Cyclic graph; a single weight yields one vertex with a loop."""
     weights = tuple(weights)
-    verts = tuple(Vertex(genus, w) for w in weights)
     n = len(weights)
-    if n == 0:
-        return WeightedDualGraph((), ())
-    if n == 1:
-        return WeightedDualGraph(verts, ((0, 0),))
-    edges = tuple((i, (i + 1) % n) for i in range(n))
-    return WeightedDualGraph(verts, edges)
+    edges = tuple((i, (i + 1) % n) for i in range(n))  # (0, 0) when n = 1
+    return WeightedDualGraph(tuple(Vertex(genus, w) for w in weights), edges)
 
 
 def intersection_matrix(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
-    """Matrix (E_i . E_j): weights on the diagonal, edge counts off it.
-
-    Dense, for callers that want the matrix itself; no library function
-    calls it, since the minors and Laufer's loop read the edge list.
-    """
+    """Matrix (E_i . E_j): weights on the diagonal, edge counts off it; dense,
+    and called by no library function."""
     n = len(g)
     m = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
@@ -158,13 +150,13 @@ def _minors(g: WeightedDualGraph):
     over ``B_ij = det A[S+i, S+j]``, S the rows eliminated, D = det A[S, S].
     Row t goes alone, ``B'_ij = (B_tt * B_ij - B_it * B_tj) / D``, or is
     deferred if B_tt = 0, unless it meets a deferred row d: then the two go
-    as the pivot [[0, x], [x, B_tt]], x = B_dt, of determinant -x^2, with
+    as the pivot [[0, x], [x, B_tt]], x = B_dt, of determinant -x^2, and
     ``B'_ij = det B[{d,t,i}, {d,t,j}] / D^2`` by Sylvester's identity
     (Bareiss 1968).  Deferred rows keep a zero diagonal and meet each other
-    in 0, so M_k is 0 while a row is deferred and D otherwise.  Entries a
-    step leaves alone keep the step s they were set at and are rescaled on
-    use by D / D_s.  O(n + fill), plus one check per deferred row per row;
-    no dense matrix.
+    in 0, so M_k is 0 while a row is deferred and D otherwise.  An entry
+    keeps the index s of the D_s it was set under, and is rescaled on use
+    by D / D_s.  O(n + fill) plus one check per deferred row per row; no
+    dense matrix.
     """
     n = len(g.vertices)
     if g.edges == tuple(zip(range(n - 1), range(1, n))):
@@ -173,47 +165,57 @@ def _minors(g: WeightedDualGraph):
             before, minor = minor, v.weight * minor - before
             yield minor
         return
-    rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (B_ij, step), j >= i
+    rows = [{i: (v.weight, 0)} for i, v in enumerate(g.vertices)]  # j -> (B_ij, s), j >= i
     for i, j in g.edges:  # a loop (i, i) adds nothing to the matrix
         rows[i][j] = (rows[i].get(j, (0, 0))[0] + (i != j), 0)
-    dets, deferred = [1], []  # D after each step; the rows waiting for a partner
-
-    def now(entry):  # B_ij at this step, from (B_ij, the step it was set at)
-        b, s = entry
-        return b if s == step else b * prev // dets[s]
-
+    dets, deferred = [1], []  # D after each row; the rows waiting for a partner
     for t, row in enumerate(rows):
-        step, prev = len(dets) - 1, dets[-1]
-        c = now(row.pop(t))
-        # (i, B_id, B_it) for every row i left that the pivot rows meet
-        cols = [(j, 0, b if s == step else b * prev // dets[s]) for j, (b, s) in row.items()]
-        met = deferred and [(i, x) for i in deferred if (x := now(rows[i].pop(t, (0, step))))]
+        prev = dets[t]
+        b, s = row.pop(t)
+        c = b if s == t else b * prev // dets[s]
+        met = deferred and _met(rows, deferred, t, dets)
         if met:
             (d, x), *others = met  # row t pairs with the first deferred row it meets
             deferred.remove(d)
-            tail = {i: [0, b] for i, b in others}
-            tail.update((j, [0, b]) for j, _, b in cols)
-            for i, e in rows[d].items():
-                if i > t:  # a column before t is eliminated, or deferred and met in 0
-                    tail.setdefault(i, [0, 0])[0] = now(e)
-            cols = [(i, ld, lt) for i, (ld, lt) in tail.items()]
-            det, scale = -x * x, prev * prev
-        elif c:
-            d, det, scale = None, c, prev
-        else:
+            pair = {i: [0, b] for i, b in others}  # i -> [B_id, B_it]
+            for k, r in (0, rows[d]), (1, row):
+                for i, (b, s) in r.items():
+                    if i > t:  # a column before t is eliminated, or deferred and met in 0
+                        pair.setdefault(i, [0, 0])[k] = b if s == t else b * prev // dets[s]
+            dets.append(-x * x // prev)
+            cols = list(pair.items())
+            for k, (i, (di, ti)) in enumerate(cols):
+                for j, (dj, tj) in cols[k:]:  # det B[{d,t,i}, {d,t,j}] / D^2
+                    lo, hi = (i, j) if i <= j else (j, i)
+                    b, s = rows[lo].get(hi, (0, t))
+                    b = x * (di * tj + ti * dj - x * b * prev // dets[s]) - c * di * dj
+                    rows[lo][hi] = (b // (prev * prev), t + 1)
+            yield 0 if deferred else dets[-1]
+            continue
+        dets.append(c or prev)
+        if not c:
             deferred.append(t)
             yield 0
             continue
-        dets.append(det * prev // scale)
-        # each column through the pivot's adjugate: [[1]] alone, [[B_tt, -x], [-x, 0]] with d
-        adj = cols if d is None else [(i, c * ld - x * lt, -x * ld) for i, ld, lt in cols]
         # fill-in can append a key out of order, so each pair is ordered as it is met
-        for k, (i, wd, wt) in enumerate(adj):
-            for j, bd, bt in cols[k:]:
-                lo, hi = (i, j) if i <= j else (j, i)
-                b, s = rows[lo].get(hi, (0, step))
-                rows[lo][hi] = ((det * b * prev // dets[s] - wd * bd - wt * bt) // scale, step + 1)
-        yield 0 if deferred else dets[-1]
+        tail = list(row.items())
+        for k, (x, (left, sx)) in enumerate(tail):
+            if sx != t:
+                left = left * prev // dets[sx]
+            for y, (right, sy) in tail[k:]:
+                if sy != t:
+                    right = right * prev // dets[sy]
+                i, j = (x, y) if x <= y else (y, x)
+                b, s = rows[i].get(j, (0, t))
+                rows[i][j] = ((c * b * prev // dets[s] - left * right) // prev, t + 1)
+        yield 0 if deferred else c
+
+
+def _met(rows, deferred, t, dets) -> list[tuple[int, int]]:
+    """(d, B_dt) for each deferred row d that row t meets, popped from row d; apart
+    from :func:`_minors`, where a comprehension would turn its locals into cells."""
+    met = [(d, e) for d in deferred if (e := rows[d].pop(t, None)) and e[0]]
+    return [(d, b if s == t else b * dets[t] // dets[s]) for d, (b, s) in met]
 
 
 def is_contractible(g: WeightedDualGraph) -> bool:
@@ -315,7 +317,8 @@ def to_json(g: WeightedDualGraph) -> str:
 
 
 def _field(obj, key: str, *kinds: type):
-    """The value at ``key`` of a JSON object, of one of ``kinds``; None if missing."""
+    """The value at ``key`` of a JSON object if its type is one of ``kinds``,
+    a missing key reading as null; else DomainError naming the key."""
     if type(obj) is not dict or type(obj.get(key)) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise DomainError(f"{key!r} must be {names} in {obj!r:.60}")
@@ -325,8 +328,9 @@ def _field(obj, key: str, *kinds: type):
 def from_json(text: str) -> WeightedDualGraph:
     """Parse the JSON form back; vertex order follows the listing.
 
-    Anything but a ``lattice-cf/1`` graph with int genus and weight raises
-    DomainError naming the key, and an id no vertex has UnknownVertex.
+    Anything but a ``lattice-cf/1`` graph with int genus and weight and
+    edges ``[id, id]`` raises DomainError naming the key, and an id no
+    vertex has UnknownVertex.
     """
     try:
         doc = json.loads(text)
@@ -341,13 +345,16 @@ def from_json(text: str) -> WeightedDualGraph:
         raise DomainError("'id' must differ between vertices")
     verts = tuple(Vertex(_field(rec, "genus", int), _field(rec, "weight", int),
                          _field(rec, "label", str, type(None))) for rec in recs)
+    pairs = _field(doc, "edges", list)
+    if any(type(e) is not list or len(e) != 2 for e in pairs):
+        raise DomainError(f"'edges' must hold pairs [id, id], got {pairs!r:.60}")
     try:
-        edges = tuple((ids[a], ids[b]) for a, b in _field(doc, "edges", list))
+        edges = tuple((ids[a], ids[b]) for a, b in pairs)
         arrows = tuple(ids[a] for a in _field(doc, "arrows", list))
     except KeyError as e:
         raise UnknownVertex(f"no vertex with id {e.args[0]!r}") from None
-    except (TypeError, ValueError):  # an edge that is no pair, or an unhashable id
-        raise DomainError("'edges' must hold pairs of vertex ids, 'arrows' vertex ids") from None
+    except TypeError:  # an unhashable id
+        raise DomainError("'edges' and 'arrows' must hold vertex ids") from None
     return WeightedDualGraph(verts, edges, arrows)
 
 

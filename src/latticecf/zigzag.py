@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._values import Value
-from .cf import _involute_e, _involute_runs, block_form, canonical_e
+from .cf import _edge_lengths, _involute_e, _involute_runs, _unary, block_form
 from .errors import DomainError
 
 READINGS = ("hj_lambda", "hj_involute", "e_involute", "e_lambda")
@@ -97,21 +97,16 @@ def read(d: ZigzagDiagram, which: str) -> tuple[int, ...]:
     latter.  All four are read off the diagram's own chains; on a built
     diagram they agree with expanding the value and its involute directly.
     """
-    if which == "hj_lambda" or which == "hj_involute":
-        edges, weights = ((d.right_edge_lengths, d.right_vertex_weights) if which == "hj_lambda"
-                          else (d.left_edge_lengths, d.left_vertex_weights))
-        terms: list[int] = []
-        for e, w in zip(edges, weights):  # (2)^(e-1), w, ..., w, (2)^(e-1)
-            terms += [2] * (e - 1)
-            terms.append(w)
-        return tuple(terms + [2] * (edges[-1] - 1))
-    edges = [d.right_edge_lengths[0]]
-    for left, right in zip(d.left_edge_lengths[1:-1], d.right_edge_lengths[1:]):
-        edges += (left, right)
+    right_runs = [e - 1 for e in d.right_edge_lengths]
+    if which == "hj_lambda":
+        return _unary(right_runs, [w - 3 for w in d.right_vertex_weights])
+    if which == "hj_involute":
+        return _unary([e - 1 for e in d.left_edge_lengths], [w - 3 for w in d.left_vertex_weights])
+    edges = _edge_lengths(right_runs, [e - 1 for e in d.left_edge_lengths[1:-1]])
     if which == "e_involute":
-        return canonical_e(edges)
+        return edges
     if which == "e_lambda":
-        return _involute_e(canonical_e(edges))
+        return _involute_e(edges)
     raise DomainError(f"unknown reading {which!r}; choose one of {READINGS}")
 
 

@@ -656,6 +656,14 @@ def vertex_doc(**fields):
     return json.dumps(doc)
 
 
+def lettered_doc(edge):
+    """The same chain with vertex ids "a" and "b" and the one edge given."""
+    doc = json.loads(G.to_json(G.chain((-2, -3))))
+    doc["vertices"][0]["id"], doc["vertices"][1]["id"] = "a", "b"
+    doc["edges"] = [edge]
+    return json.dumps(doc)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(
         ["v0", "v1", "v9", "", "graph", "cone", "lattice-cf/1"]),
@@ -709,6 +717,9 @@ class TestJsonReader:
         pytest.param(graph_doc(edges=[["v0", "v9"]]), UnknownVertex, "'v9'", id="edge to unknown id"),
         pytest.param(graph_doc(edges=[["v0"]]), DomainError, "'edges'", id="edge not a pair"),
         pytest.param(graph_doc(edges=[["v0", ["v1"]]]), DomainError, "'edges'", id="unhashable id"),
+        pytest.param(graph_doc(edges=[{"v0": 0, "v1": 0}]), DomainError, "'edges'", id="edge an object"),
+        pytest.param(lettered_doc("ab"), DomainError, "'edges'", id="edge a string"),
+        pytest.param(graph_doc(arrows=[["v0"]]), DomainError, "'arrows'", id="unhashable arrow"),
         pytest.param(graph_doc(arrows=["v2"]), UnknownVertex, "'v2'", id="arrow at unknown id"),
         pytest.param(graph_doc(arrows=None), DomainError, "'arrows'", id="arrows null"),
         pytest.param(vertex_doc(genus=0.5), DomainError, "'genus'", id="fractional genus"),
@@ -722,6 +733,9 @@ class TestJsonReader:
         with pytest.raises(error) as info:
             G.from_json(text)
         assert type(info.value) is error and named in str(info.value)
+
+    def test_other_ids(self):
+        assert G.from_json(lettered_doc(["a", "b"])) == G.chain((-2, -3))
 
     def test_optional_label(self):
         doc = json.loads(G.to_json(G.chain((-2,))))
