@@ -15,10 +15,15 @@ A public constructor validates and normalises what it is given.  Where the
 library builds a value from data it has just computed, and so knows to be
 in normal form, it may call :meth:`Value._trusted` instead, which stores
 the fields without running ``__init__``.  Unpickling and copying still go
-through the public constructor.
+through the public constructor.  The check of a type pair ``(p, q)``,
+shared by the constructors and functions that take one, lives here and
+not in ``cf``: the oracles run it, and they must call nothing in ``cf``.
 """
 
-from operator import attrgetter
+import math
+from operator import attrgetter, index
+
+from .errors import DomainError
 
 _new = object.__new__
 
@@ -69,3 +74,21 @@ class Value:
 
     def __reduce__(self):
         return self.__class__, self._fields(self)
+
+
+def _pq_ints(p, q, what: str) -> tuple[int, int]:
+    """p and q as Python ints (bools and other ``__index__`` types), or
+    DomainError naming ``what``."""
+    try:
+        return index(p), index(q)
+    except TypeError:
+        raise DomainError(f"{what} needs integers p and q, got {type(p).__name__} "
+                          f"and {type(q).__name__}") from None
+
+
+def _check_pq(p, q, what: str) -> tuple[int, int]:
+    """p and q as Python ints with 1 <= q < p coprime, or DomainError naming ``what``."""
+    p, q = _pq_ints(p, q, what)
+    if not (1 <= q < p) or math.gcd(p, q) != 1:
+        raise DomainError(f"{what} needs 1 <= q < p coprime, got ({p}, {q})")
+    return p, q

@@ -28,11 +28,10 @@ integers of arbitrary size.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
-from ._values import Value
+from ._values import Value, _check_pq
 from .errors import DivisionByZero, DomainError, InvalidSequence
 
 E = "e"
@@ -448,9 +447,10 @@ def e_to_hj_periodic(x: PeriodicCF) -> PeriodicCF:
     a = x.prefix(start + (pi if pi % 2 == 0 else 2 * pi))  # holds every distinct term
     if min(a) < 1:
         raise InvalidSequence("all streamed terms must be >= 1")
-    out = _unary([t - 1 for t in a[1::2]] + [0], [t - 1 for t in a[2::2]])
-    cut = sum(a[1:start:2])  # the pair a_i, a_{i+1} emits a_i terms
-    return PeriodicCF(HJ, (a[0] + 1,) + out[:cut], out[cut:])
+    # a closing quotient 1 ends the last pair a_i, a_{i+1} with no 2s
+    out = e_to_hj(a + (1,))
+    cut = 1 + sum(a[1:start:2])  # the head, then a_i terms from each pair
+    return PeriodicCF(HJ, out[:cut], out[cut:])
 
 
 def involute(x) -> Fraction:
@@ -524,7 +524,6 @@ def reverse_hj(p: int, q: int) -> tuple[tuple[int, ...], Fraction]:
     Here ``qbar`` is the inverse of q modulo p with 0 < qbar < p: reversing
     ``p/q = [b1,...,br]-`` gives ``[br,...,b1]- = p/qbar``.
     """
-    if not (0 < q < p) or math.gcd(p, q) != 1:
-        raise DomainError(f"need 0 < q < p coprime, got ({p}, {q})")
+    p, q = _check_pq(p, q, "the reversal")
     rev = hj_terms(p, q)[::-1]
     return rev, eval_terms(HJ, rev)

@@ -17,7 +17,7 @@ normalized ones, which forces this convention.
 from __future__ import annotations
 
 import json
-from operator import attrgetter
+from operator import attrgetter, index
 
 from ._values import Value
 from .errors import Disconnected, DomainError, NotContractible, UnknownVertex
@@ -30,6 +30,11 @@ class Vertex(Value):
     label: str | None
 
     def __init__(self, genus: int = 0, weight: int = 0, label: str | None = None):
+        try:
+            genus, weight = index(genus), index(weight)
+        except TypeError:
+            raise DomainError(f"genus and weight must be integers, got {type(genus).__name__} "
+                              f"and {type(weight).__name__}") from None
         if genus < 0:
             raise DomainError(f"genus must be >= 0, got {genus}")
         self._genus = genus
@@ -50,6 +55,12 @@ class Cycle(Value):
 _label = attrgetter("label")
 
 
+class _NotAnIndex(DomainError, TypeError, ValueError):
+    """An edge or arrow that is no integer vertex index.  It is also the
+    TypeError or ValueError that such an edge raised before indices were
+    checked, so code catching those still catches it."""
+
+
 class WeightedDualGraph(Value):
     """Finite multigraph with loops, weighted vertices and arrow markers.
 
@@ -66,8 +77,22 @@ class WeightedDualGraph(Value):
                  arrows: tuple[int, ...] = ()):
         verts = tuple(vertices)
         n = len(verts)
-        edges = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in edges]))
-        arrows = tuple(sorted(arrows))
+        pairs = []
+        for e in edges:
+            try:
+                i, j = e
+                i, j = index(i), index(j)
+            except (TypeError, ValueError):
+                raise _NotAnIndex(f"edge {e!r} is not a pair of integer vertex indices") from None
+            pairs.append((i, j) if i <= j else (j, i))
+        edges = tuple(sorted(pairs))
+        heads = []
+        for a in arrows:
+            try:
+                heads.append(index(a))
+            except TypeError:
+                raise _NotAnIndex(f"arrow {a!r} is not an integer vertex index") from None
+        arrows = tuple(sorted(heads))
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownVertex(f"edge ({i}, {j}) leaves the vertex range")

@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._values import Value
-from .cf import hj_terms
+from ._values import Value, _check_pq, _pq_ints
+from .cf import block_form, hj_terms
 from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
 Vec = tuple[int, int]
@@ -115,6 +115,7 @@ class ConeNF(Value):
     q: int
 
     def __init__(self, p: int, q: int):
+        p, q = _pq_ints(p, q, "a cone normal form")
         if not (0 <= q < p) or math.gcd(p, q) != 1:
             raise DomainError(f"({p}, {q}) is not a cone normal form")
         self._p = p
@@ -209,30 +210,27 @@ def polygon(cone: ConeNF) -> ConePolygon:
     """
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
-    weights = hj_terms(cone.p, cone.q)
-    pts = _chain_points(weights, (1, 0), (0, 1))
-    if pts[-1] != (-cone.q, cone.p):
-        raise InternalError(f"chain for {cone} did not close at (-q, p)")
-    return ConePolygon(pts, weights, _vertex_indices(weights))
+    return ConePolygon(*_chain(cone.p, cone.q, (1, 0), (0, 1), (-cone.q, cone.p)))
 
 
-def _chain_points(weights: tuple[int, ...], a0: Vec, a1: Vec) -> tuple[Vec, ...]:
-    """The chain ``A_0 = a0, A_1 = a1, A_{n+1} = w_n * A_n - A_{n-1}``.
+def _chain(p: int, q: int, a0: Vec, a1: Vec,
+           end: Vec) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[int, ...]]:
+    """Points, weights and vertex indices (the ends and each weight >= 3) of the
+    chain ``A_0 = a0, A_1 = a1, A_{n+1} = w_n * A_n - A_{n-1}`` over the
+    subtractive terms w of p/q, checked to close at ``end``.
 
     The recursion is linear, so seeds moved by a matrix give the chain moved
     by that matrix.
     """
+    weights = hj_terms(p, q)
     (x0, y0), (x1, y1) = a0, a1
     pts = [a0, a1]
     for w in weights:
         x0, y0, x1, y1 = x1, y1, w * x1 - x0, w * y1 - y0
         pts.append((x1, y1))
-    return tuple(pts)
-
-
-def _vertex_indices(weights: tuple[int, ...]) -> tuple[int, ...]:
-    """The two ends of a chain and every interior point of weight >= 3."""
-    return (0, *[n for n, w in enumerate(weights, 1) if w >= 3], len(weights) + 1)
+    if pts[-1] != end:
+        raise InternalError(f"chain for {p}/{q} did not close at {end}")
+    return tuple(pts), weights, (0, *[n for n, w in enumerate(weights, 1) if w >= 3], len(pts) - 1)
 
 
 def _dominant_rows(p: int, q: int) -> list[Vec]:
@@ -421,14 +419,10 @@ def duality_map(cone: ConeNF) -> DualityReport:
         raise RegularCone("a regular cone is excluded from typed duality")
     chain = polygon(cone)
     dual = supplementary(cone)
+    apex = (-cone.q, cone.p)
     # the supplementary chain in this frame: its recursion from the seeds
     # (1, 0) and (0, 1) moved by SUPPLEMENTARY_MAP
-    dual_weights = hj_terms(dual.p, dual.q)
-    dual_pts = _chain_points(dual_weights, (-1, 0), (-1, 1))
-    apex = (-cone.q, cone.p)
-    if dual_pts[-1] != apex:
-        raise InternalError(f"supplementary chain of {cone} did not close at (-q, p)")
-    dual_vertex_indices = _vertex_indices(dual_weights)
+    dual_pts, _, dual_vertex_indices = _chain(dual.p, dual.q, (-1, 0), (-1, 1), apex)
     where = dict(zip(dual_pts, range(len(dual_pts))))
     vertex_set = set(dual_vertex_indices)
 
@@ -490,8 +484,7 @@ def klein_quotients(p: int, q: int) -> tuple[int, ...]:
     alternately starting from the x-side, whose first edge runs from (1, 0)
     to (1, a_1).  One final edge of length 1 is always left unread.
     """
-    if not (1 <= q < p) or math.gcd(p, q) != 1:
-        raise DomainError(f"need 1 <= q < p coprime, got ({p}, {q})")
+    p, q = _check_pq(p, q, "Klein's reading")
     ex = _compact_edge_lengths((1, 0), (q, p))
     ey = _compact_edge_lengths((0, 1), (q, p))
     if len(ex) not in (len(ey), len(ey) + 1):
@@ -504,12 +497,9 @@ def klein_quotients(p: int, q: int) -> tuple[int, ...]:
 
 
 def _compact_edge_lengths(u_minus: Vec, u_plus: Vec) -> list[int]:
-    """Integral lengths of the compact hull edges, ordered from u_minus."""
+    """Integral lengths of the compact hull edges, ordered from u_minus: the
+    edge over a run of m weights 2 in the block form has length m + 1."""
     nf, _ = cone_normal_form(u_minus, u_plus)
     if nf.is_regular:
         return [1]
-    chain = polygon(nf)
-    return [
-        integral_length(chain.points[a], chain.points[b])
-        for a, b in chain.compact_edges()
-    ]
+    return [m + 1 for m in block_form(nf.p, nf.q)[0]]

@@ -24,20 +24,14 @@ Everything here is a consumer of the continued-fraction and cone modules:
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 
-from ._values import Value
+from ._values import Value, _check_pq, _pq_ints
 from .cf import MINUS, _continuants, _hj_blocks, _ints, _involute_runs, _quotients, _unary
 from .cf import block_form, continuant, hj_terms
 from .errors import CycleTooShort, DomainError, InvalidCycle
 from .graphs import Vertex, WeightedDualGraph, chain
 from .lattice import Mat2
-
-
-def _check_pq(p: int, q: int, what: str):
-    if not (1 <= q < p) or math.gcd(p, q) != 1:
-        raise DomainError(f"{what} needs 1 <= q < p coprime, got ({p}, {q})")
 
 
 class HJType(Value):
@@ -48,7 +42,7 @@ class HJType(Value):
     q: int
 
     def __init__(self, p: int, q: int):
-        _check_pq(p, q, "a singularity type")
+        p, q = _check_pq(p, q, "a singularity type")
         self._p = p
         self._q = q
 
@@ -64,7 +58,7 @@ class LensSpace(Value):
     q: int
 
     def __init__(self, p: int, q: int):
-        _check_pq(p, q, "a lens space")
+        p, q = _check_pq(p, q, "a lens space")
         self._p = p
         self._q = q
 
@@ -275,6 +269,14 @@ class CurveResolution(Value):
         return len(self.graph)
 
 
+def _curve_pq(p, q) -> tuple[int, int]:
+    """p and q of a singular monomial curve x^p = y^q as ints: 2 <= q < p coprime."""
+    p, q = _pq_ints(p, q, "a monomial curve")
+    if q < 2:
+        raise DomainError("x^p = y^q is singular only for q >= 2")
+    return _check_pq(p, q, "a monomial curve")
+
+
 def resolve_monomial(p: int, q: int) -> CurveResolution:
     """Dual graph of the minimal embedded resolution of  x^p = y^q.
 
@@ -285,9 +287,7 @@ def resolve_monomial(p: int, q: int) -> CurveResolution:
     which is exactly the order of appearance under blow-up.  Smooth curves
     (q = 1) are rejected: there is nothing to resolve.
     """
-    if q < 2:
-        raise DomainError("x^p = y^q is singular only for q >= 2")
-    _check_pq(p, q, "a monomial curve")
+    p, q = _curve_pq(p, q)
     ms, ns = block_form(p, p - q)  # ns is nonempty: p/(p-q) = [(2)^m] would mean q = 1
     _, big = _involute_runs(ms, ns)
     # Labels follow the order of appearance: block i gives ms[i] + 1 chain
@@ -326,9 +326,7 @@ def blowup_oracle(p: int, q: int) -> CurveResolution:
     (a, b); when a = b the strict transform finally meets only the new
     curve, transversally, and the total transform has normal crossings.
     """
-    if q < 2:
-        raise DomainError("x^p = y^q is singular only for q >= 2")
-    _check_pq(p, q, "a monomial curve")
+    p, q = _curve_pq(p, q)
     a, b = q, p
     curve_a: int | None = None  # exceptional curve on the t^a axis, if any
     curve_b: int | None = None
@@ -361,5 +359,4 @@ def blowup_oracle(p: int, q: int) -> CurveResolution:
 def blowup_count(p: int, q: int) -> int:
     """Number of blow-ups resolving x^p = y^q: the sum of the additive
     partial quotients of p/q, for 1 <= q < p coprime."""
-    _check_pq(p, q, "a monomial curve")
-    return sum(_quotients(p, q))
+    return sum(_quotients(*_check_pq(p, q, "a monomial curve")))

@@ -165,15 +165,14 @@ _LX, _RX = 10, 16
 _AX, _ASH = 13, 3  # apex column and its height above the last left point
 
 
-def _zig_rows(d: ZigzagDiagram) -> list[tuple[int, int, str]]:
-    """Rows and columns of the zigzag vertices, bottom-up: (row, col, side)."""
+def _zig_rows(d: ZigzagDiagram) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The layout, bottom-up: (row, col) of each zigzag vertex from V0, then the
+    rows of the left and the right chain points from the baseline, the right
+    ones up to the bend into the apex."""
     m = 2 * d.s + 1
-    out = []
-    for k in range(m + 1):
-        row = _ASH + _DH * (m - k)
-        col = _RX if k % 2 == 0 else _LX
-        out.append((row, col, "right" if k % 2 == 0 else "left"))
-    return out
+    zig = [(_ASH + _DH * (m - k), _LX if k % 2 else _RX) for k in range(m + 1)]
+    rows = [row for row, _ in zig]
+    return zig, rows[:1] + rows[1::2], rows[::2] + [_ASH]
 
 
 def render(d: ZigzagDiagram, format: str = "ascii") -> str:
@@ -186,8 +185,8 @@ def render(d: ZigzagDiagram, format: str = "ascii") -> str:
 
 
 def _render_ascii(d: ZigzagDiagram) -> str:
-    zig = _zig_rows(d)
-    baseline = zig[0][0]
+    zig, left_rows, right_rows = _zig_rows(d)
+    baseline = left_rows[0]
     grid: dict[tuple[int, int], str] = {}
     # a left label of more than 3 digits would reach the chain column: it
     # starts further left by its overflow, and every line is padded by it
@@ -218,28 +217,24 @@ def _render_ascii(d: ZigzagDiagram) -> str:
     grid[(_ASH, _RX)] = "|"
 
     # zigzag chords between consecutive marked points
-    for (r1, c1, _), (r2, c2, _) in zip(zig, zig[1:]):
+    for (r1, c1), (r2, c2) in zip(zig, zig[1:]):
         step = 1 if c2 > c1 else -1
         ch = "/" if step > 0 else "\\"
         for t in range(1, _DH):
             grid[(r1 - t, c1 + step * t)] = ch
 
     # marked points with their weights
-    for j, w in enumerate(d.left_vertex_weights, start=1):
-        row = zig[2 * j - 1][0]
+    for row, w in zip(left_rows[1:], d.left_vertex_weights):
         put(row, _LX, "*")
         put(row, _LX - 5 - pad, f"({w})".rjust(4))
-    for j, w in enumerate(d.right_vertex_weights, start=1):
-        row = zig[2 * j][0]
+    for row, w in zip(right_rows[1:], d.right_vertex_weights):
         put(row, _RX, "*")
         put(row, _RX + 2, f"({w})")
 
     # edge lengths beside the runs they decorate
-    left_rows = [baseline] + [zig[2 * j - 1][0] for j in range(1, d.s + 2)]
     for length, (lo, hi) in zip(d.left_edge_lengths, zip(left_rows, left_rows[1:])):
         put((lo + hi) // 2, _LX - 3 - pad, str(length).rjust(2))
     put(1, _LX, str(d.left_edge_lengths[-1]))
-    right_rows = [baseline] + [zig[2 * j][0] for j in range(1, d.s + 1)] + [_ASH]
     for length, (lo, hi) in zip(d.right_edge_lengths, zip(right_rows, right_rows[1:])):
         put((lo + hi) // 2, _RX + 2, str(length))
 
@@ -252,20 +247,16 @@ def _render_ascii(d: ZigzagDiagram) -> str:
 
 
 def _render_svg(d: ZigzagDiagram) -> str:
-    zig = _zig_rows(d)
+    zig, left_rows, right_rows = _zig_rows(d)
 
     def xy(row: int, col: int) -> tuple[int, int]:
         return 16 * col - 96, 16 * row + 32
 
-    baseline = zig[0][0]
+    baseline = left_rows[0]
     apex = xy(0, _AX)
-    left_pts = [xy(baseline, _LX)]
-    left_pts += [xy(zig[2 * j - 1][0], _LX) for j in range(1, d.s + 2)]
-    left_pts.append(apex)
-    right_pts = [xy(baseline, _RX)]
-    right_pts += [xy(zig[2 * j][0], _RX) for j in range(1, d.s + 1)]
-    right_pts += [xy(_ASH, _RX), apex]
-    zig_pts = [xy(r, c) for r, c, _ in zig]
+    left_pts = [xy(row, _LX) for row in left_rows] + [apex]
+    right_pts = [xy(row, _RX) for row in right_rows] + [apex]
+    zig_pts = [xy(r, c) for r, c in zig]
 
     def path(points, dash: bool = False) -> str:
         data = "M " + " L ".join(f"{x} {y}" for x, y in points)
@@ -294,17 +285,13 @@ def _render_svg(d: ZigzagDiagram) -> str:
     out.append(text(right_pts[0][0] + 8, right_pts[0][1] + 14, "V0"))
     ox, oy = xy(baseline, _AX)
     out.append(text(ox - 4, oy + 14, "O"))
-    for j, w in enumerate(d.left_vertex_weights, start=1):
-        x, y = left_pts[j]
+    for (x, y), w in zip(left_pts[1:], d.left_vertex_weights):
         out.append(text(x - 36, y + 4, f"({w})"))
-    for j, w in enumerate(d.right_vertex_weights, start=1):
-        x, y = right_pts[j]
+    for (x, y), w in zip(right_pts[1:], d.right_vertex_weights):
         out.append(text(x + 10, y + 4, f"({w})"))
-    for k, length in enumerate(d.left_edge_lengths):
-        (x1, y1), (x2, y2) = left_pts[k], left_pts[k + 1]
+    for length, ((x1, y1), (x2, y2)) in zip(d.left_edge_lengths, zip(left_pts, left_pts[1:])):
         out.append(text((x1 + x2) // 2 - 14, (y1 + y2) // 2, str(length)))
-    for k, length in enumerate(d.right_edge_lengths):
-        (x1, y1), (x2, y2) = right_pts[k], right_pts[min(k + 1, len(right_pts) - 2)]
+    for length, ((x1, y1), (x2, y2)) in zip(d.right_edge_lengths, zip(right_pts, right_pts[1:])):
         out.append(text((x1 + x2) // 2 + 10, (y1 + y2) // 2, str(length)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -233,6 +233,24 @@ class TestConstruction:
         with pytest.raises(DomainError):
             G.Vertex(genus=-1)
 
+    def test_genus_weight_and_indices_are_integers(self):
+        v = G.Vertex(False, -2)
+        assert v == G.Vertex(0, -2) and type(v.genus) is int
+        for genus, weight in ((0.5, "x"), (0, 2.0), (None, -2), ("0", -2)):
+            with pytest.raises(DomainError, match="genus and weight must be integers"):
+                G.Vertex(genus, weight)
+        two = (G.Vertex(0, -2), G.Vertex(0, -2))
+        # once constructed, took the chain path of the minors, and its JSON did not read back
+        with pytest.raises(DomainError, match=re.escape("edge (0.0, 1) is not a pair")):
+            G.WeightedDualGraph(two, ((0.0, 1),))
+        for arrow in (1.0, "1", None):
+            with pytest.raises(DomainError, match=f"^arrow {re.escape(repr(arrow))} is not"):
+                G.WeightedDualGraph(two, ((0, 1),), (arrow,))
+        g = G.WeightedDualGraph(two, ((True, False),), (True,))
+        assert g.edges == ((0, 1),) and g.arrows == (1,)
+        assert {type(i) for i in g.edges[0] + g.arrows} == {int}
+        assert G.from_json(G.to_json(g)) == g
+
     def test_edges_normalized(self):
         g = G.WeightedDualGraph((G.Vertex(), G.Vertex()), ((1, 0), (0, 1)))
         assert g.edges == ((0, 1), (0, 1))

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,7 +134,12 @@ class TestPolygon:
     def test_matches_oracle_sweep(self):
         for p, q in coprime_pairs(97):
             c = lattice.ConeNF(p, q)
-            assert lattice.polygon(c) == lattice.hull_oracle(c)
+            hull = lattice.hull_oracle(c)
+            assert lattice.polygon(c) == hull
+            # the edge lengths Klein's reading takes off the block form, measured on the hull
+            lengths = [lattice.integral_length(hull.points[a], hull.points[b])
+                       for a, b in hull.compact_edges()]
+            assert lengths == [m + 1 for m in cf.block_form(p, q)[0]], (p, q)
 
 
 class TestSupplementaryAndDual:
@@ -217,6 +224,27 @@ class TestKlein:
     def test_matches_expansion_sweep(self):
         for p, q in coprime_pairs(200):
             assert lattice.klein_quotients(p, q) == cf.expand_e(Fraction(p, q)).terms
+
+    def test_builds_no_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Klein's reading built a hull chain")
+
+        monkeypatch.setattr(lattice, "polygon", refuse)
+        monkeypatch.setattr(lattice, "hj_terms", refuse)
+        assert lattice.klein_quotients(11, 7) == (1, 1, 1, 3)
+        assert lattice.klein_quotients(11, 4) == (2, 1, 3)
+
+    def test_large_inputs_in_milliseconds(self):
+        # a chain of 10**6 points, and a 1000-digit pair, read in O(log p)
+        rng = random.Random("klein:1000-digit")
+        p = rng.randrange(10**999, 10**1000)
+        q = next(q for q in iter(lambda: rng.randrange(2, p), None) if math.gcd(p, q) == 1)
+        for p, q in ((10**6 + 1, 10**6), (p, q)):
+            start = time.perf_counter()
+            terms = lattice.klein_quotients(p, q)
+            elapsed = time.perf_counter() - start
+            assert terms == cf.expand_e(Fraction(p, q)).terms
+            assert elapsed < 0.05, f"{elapsed * 1e3:.1f} ms for a {p.bit_length()}-bit p"
 
 
 def hull_oracle_parent(cone):

@@ -216,6 +216,32 @@ def test_constructors_still_validate():
         S.CurveResolution(G.chain((-1, -2)))
 
 
+PAIR_ENTRY_POINTS = {
+    "HJType": S.HJType, "LensSpace": S.LensSpace, "ConeNF": L.ConeNF,
+    "klein_quotients": L.klein_quotients, "reverse_hj": cf.reverse_hj,
+    "resolve_monomial": S.resolve_monomial, "blowup_oracle": S.blowup_oracle,
+    "blowup_count": S.blowup_count,
+}
+
+
+@pytest.mark.parametrize("bad", [5.0, "5", None], ids=repr)
+@pytest.mark.parametrize("position", ["p", "q"])
+@pytest.mark.parametrize("name", sorted(PAIR_ENTRY_POINTS))
+def test_pair_entry_points_take_only_integers(name, position, bad):
+    # p and q go through operator.index, so anything but an integer is refused
+    # with a typed error, never a TypeError from math.gcd or a comparison
+    args = {"p": 7, "q": 3} | {position: bad}
+    with pytest.raises(latticecf.LatticeCFError):
+        PAIR_ENTRY_POINTS[name](args["p"], args["q"])
+
+
+def test_pair_entry_points_store_plain_ints():
+    t = S.HJType(2, True)
+    assert str(t) == "A_1" and type(t.q) is int
+    assert L.ConeNF(True, False) == L.ConeNF(1, 0) and type(L.ConeNF(True, False).p) is int
+    assert S.blowup_count(True + 4, True) == 5
+
+
 # The trusted construction path: values the library builds from data it has
 # just computed skip their public constructor (``Value._trusted``).
 
