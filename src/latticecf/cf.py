@@ -259,27 +259,21 @@ def expand_e(x) -> CFExpansion:
 
 
 def hj_terms(p: int, q: int) -> tuple[int, ...]:
-    """Subtractive partial quotients of p/q, q > 0 (ceiling recursion).
+    """Subtractive partial quotients of p/q, q > 0: the block pair of its
+    Euclidean quotients (:func:`_quotient_blocks`) rendered in unary.
 
-    The integer loop behind :func:`expand_hj`, for callers that want the
-    bare tuple: no ``Fraction`` and no admissibility re-check, since every
-    term after the first is >= 2 by construction.  One step per output
-    term, and there are up to p - 1 of them (for p/(p-1)); use
-    :func:`block_form` when the blocks are enough.
+    No ``Fraction`` and no admissibility re-check.  Cost: O(log p) divmods
+    on integers of the bit length of p, plus an output of up to p - 1 terms
+    (for p/(p-1)) built by list repetition; :func:`block_form` stops at the
+    blocks.
     """
     if q <= 0:
         raise DomainError(f"need a positive denominator, got {q}")
-    terms = []
-    while True:
-        a = -((-p) // q)
-        terms.append(a)
-        p, q = q, a * q - p
-        if q == 0:
-            return tuple(terms)
+    return _unary(*_quotient_blocks(_quotients(p, q)))
 
 
 def expand_hj(x) -> CFExpansion:
-    """Canonical subtractive expansion (ceiling recursion).
+    """Canonical subtractive expansion, from :func:`hj_terms`.
 
     >>> expand_hj(Fraction(11, 7)).terms
     (2, 3, 2, 2)
@@ -341,8 +335,8 @@ def _quotient_blocks(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     the last term of odd n each lose one, so a single term stays ``a1``.
     One pass over the quotients: a run of 2s grows until a large term closes
     it, and a large term of 2 (from ``a1 = 1``, a single ``a1 = 2`` or a
-    last odd term 1) joins the runs beside it.  A single 1 gives the term
-    1, which :func:`_unary` still renders as the right term.
+    last odd term 1) joins the runs beside it.  The head may be any integer:
+    a head term below 2 is kept as a large one, which :func:`_unary` renders.
     """
     runs: list[int] = []
     big: list[int] = []

@@ -384,11 +384,12 @@ def from_json(text: str) -> WeightedDualGraph:
 
 
 def to_dot(g: WeightedDualGraph) -> str:
-    """Deterministic DOT text; arrows appear as arrow-shaped leaf nodes."""
+    """Deterministic DOT text (labels escaped); arrows are arrow-shaped leaf nodes."""
     lines = ["graph dual {", "  node [shape=circle];"]
     for i, v in enumerate(g.vertices):
         name = _vertex_id(i)
-        text = f"{v.label}\\n{v.weight}" if v.label else str(v.weight)
+        label = v.label and v.label.replace("\\", "\\\\").replace('"', '\\"')
+        text = f"{label}\\n{v.weight}" if label else str(v.weight)
         lines.append(f'  {name} [label="{text}", weight={v.weight}, genus={v.genus}];')
     for k, i in enumerate(g.arrows):
         lines.append(f'  arrow{k} [shape=rarrow, label=""];')

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from ._values import Value, _check_pq, _pq_ints
-from .cf import block_form, hj_terms
+from .cf import _involute_runs, _unary, block_form, hj_terms
 from .errors import DegenerateCone, DomainError, InternalError, RegularCone, ZeroVector
 
 Vec = tuple[int, int]
@@ -210,26 +210,26 @@ def polygon(cone: ConeNF) -> ConePolygon:
     """
     if cone.is_regular:
         raise RegularCone("a regular cone has no hull polygon data")
-    return ConePolygon(*_chain(cone.p, cone.q, (1, 0), (0, 1), (-cone.q, cone.p)))
+    return ConePolygon(*_chain(hj_terms(cone.p, cone.q), (1, 0), (0, 1), (-cone.q, cone.p)))
 
 
-def _chain(p: int, q: int, a0: Vec, a1: Vec,
+def _chain(weights: tuple[int, ...], a0: Vec, a1: Vec,
            end: Vec) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[int, ...]]:
     """Points, weights and vertex indices (the ends and each weight >= 3) of the
-    chain ``A_0 = a0, A_1 = a1, A_{n+1} = w_n * A_n - A_{n-1}`` over the
-    subtractive terms w of p/q, checked to close at ``end``.
+    chain ``A_0 = a0, A_1 = a1, A_{n+1} = w_n * A_n - A_{n-1}``, checked to
+    close at ``end``.
 
     The recursion is linear, so seeds moved by a matrix give the chain moved
-    by that matrix.
+    by that matrix.  Fed Hirzebruch's involution of a cone's blocks, the
+    closure check confirms that they give the supplementary chain.
     """
-    weights = hj_terms(p, q)
     (x0, y0), (x1, y1) = a0, a1
     pts = [a0, a1]
     for w in weights:
         x0, y0, x1, y1 = x1, y1, w * x1 - x0, w * y1 - y0
         pts.append((x1, y1))
     if pts[-1] != end:
-        raise InternalError(f"chain for {p}/{q} did not close at {end}")
+        raise InternalError(f"chain for {end} closed at {pts[-1]}")
     return tuple(pts), weights, (0, *[n for n, w in enumerate(weights, 1) if w >= 3], len(pts) - 1)
 
 
@@ -414,17 +414,21 @@ def duality_map(cone: ConeNF) -> DualityReport:
     supplementary chain and cover its vertices; only the images of the
     first and last compact edges may fail to be vertices, and each is a
     vertex exactly when its edge has integral length >= 2.
+
+    One Euclid gives both chains: the block form of p/q, and Hirzebruch's
+    involution of it for the supplementary chain, which its closure checks.
     """
     if cone.is_regular:
         raise RegularCone("a regular cone is excluded from typed duality")
-    chain = polygon(cone)
-    dual = supplementary(cone)
+    ms, ns = block_form(cone.p, cone.q)
     apex = (-cone.q, cone.p)
+    chain = ConePolygon(*_chain(_unary(ms, ns), (1, 0), (0, 1), apex))
+    dual = supplementary(cone)
     # the supplementary chain in this frame: its recursion from the seeds
     # (1, 0) and (0, 1) moved by SUPPLEMENTARY_MAP
-    dual_pts, _, dual_vertex_indices = _chain(dual.p, dual.q, (-1, 0), (-1, 1), apex)
+    dual_pts, _, dual_vertices = _chain(_unary(*_involute_runs(ms, ns)), (-1, 0), (-1, 1), apex)
     where = dict(zip(dual_pts, range(len(dual_pts))))
-    vertex_set = set(dual_vertex_indices)
+    vertex_set = set(dual_vertices)
 
     pts, ends = chain.points, chain.vertex_indices
     indices = [where.get((-1, 0))]
@@ -446,7 +450,7 @@ def duality_map(cone: ConeNF) -> DualityReport:
     on_dual = None not in indices
     seen = set(indices)
     return DualityReport(
-        cone, dual, chain, dual_pts, dual_vertex_indices, tuple(images), tuple(exceptional),
+        cone, dual, chain, dual_pts, dual_vertices, tuple(images), tuple(exceptional),
         on_dual, on_dual and vertex_set <= seen,
         on_dual and indices == sorted(seen),  # strictly increasing
         all(ex.is_vertex == ex.expected_vertex for ex in exceptional),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from latticecf import cf, singularities as S
+from latticecf import cf, lattice, singularities as S
 from latticecf.errors import DomainError, InvalidCycle, InvalidSequence
 
 
@@ -556,6 +556,22 @@ class TestBlockForm:
                 cf.block_form(p, q)
 
 
+def ceiling_terms(p, q, limit):
+    """The ceiling recursion on ints, q > 0: the loop ``hj_terms`` once ran.
+
+    None once it passes ``limit`` terms, so a draw whose unary expansion is
+    too long to build is skipped instead of built.
+    """
+    terms = []
+    while len(terms) < limit:
+        a = -(-p // q)
+        terms.append(a)
+        p, q = q, a * q - p
+        if q == 0:
+            return tuple(terms)
+    return None
+
+
 class TestHJTerms:
     def test_matches_ceiling_recursion(self):
         for num in range(-30, 60):
@@ -569,6 +585,14 @@ class TestHJTerms:
                     x = 1 / (a - x)
                 assert cf.hj_terms(num, den) == tuple(want), (num, den)
 
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**30))
+    @example(-7 * 10**29, 3 * 10**29)  # not reduced
+    @example(10**40, 10**30 - 1)
+    def test_matches_ceiling_recursion_on_big_pairs(self, p, q):
+        want = ceiling_terms(p, q, 10**4)
+        assume(want is not None)
+        assert cf.hj_terms(p, q) == want
+
     def test_expand_hj_wraps_it(self):
         assert cf.expand_hj(Fraction(-7, 3)).terms == cf.hj_terms(-7, 3)
 
@@ -577,6 +601,31 @@ class TestHJTerms:
             cf.hj_terms(5, 0)
         with pytest.raises(DomainError):
             cf.hj_terms(5, -2)
+
+
+class TestOneEuclid:
+    """Every unary chain is one Euclid's block pair, rendered at the end."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(cf.hj_terms, id="hj_terms"),
+        pytest.param(lambda p, q: cf.expand_hj(Fraction(p, q)), id="expand_hj"),
+        pytest.param(lambda p, q: lattice.polygon(lattice.ConeNF(p, q)), id="polygon"),
+        pytest.param(lambda p, q: S.hj_resolution(S.HJType(p, q)), id="hj_resolution"),
+        pytest.param(lambda p, q: lattice.duality_map(lattice.ConeNF(p, q)), id="duality_map"),
+    ])
+    def test_one_euclid_per_answer(self, monkeypatch, build):
+        calls = []
+        quotients = cf._quotients
+
+        def counted(num, den):
+            calls.append((num, den))
+            return quotients(num, den)
+
+        monkeypatch.setattr(cf, "_quotients", counted)
+        for p, q in ((2, 1), (11, 7), (97, 35), (1001, 1000), (1001, 2)):
+            calls.clear()
+            build(p, q)
+            assert len(calls) == 1, (p, q, calls)
 
 
 class TestIntegralTerms:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -31,6 +32,21 @@ def child_env(**overrides):
     env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+CHILD_MEMORY = 2**30  # bytes of address space for a spawned child
+
+
+def spawn(*args, timeout=30, **env_overrides):
+    """Run ``python *args`` with the package under test, about 1 GiB of
+    address space and a timeout.  A child that runs away then fails its
+    test (MemoryError, or TimeoutExpired after it is killed) instead of
+    using up the host's memory.  Output is kept as bytes."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=child_env(**env_overrides), timeout=timeout, preexec_fn=cap)
 
 
 def digit_limit():
@@ -323,14 +339,9 @@ class TestHarness:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_console_script_installed(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "latticecf", "cf", "expand", "--kind", "hj", "11/7"],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
+        proc = spawn("-m", "latticecf", "cf", "expand", "--kind", "hj", "11/7")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[2,3,2,2]\n"
+        assert proc.stdout == b"[2,3,2,2]\n"
 
     def test_cold_start_imports_no_code_generation(self):
         # dataclasses (and the inspect it pulls in) cost ~30 ms of every CLI process
@@ -338,11 +349,9 @@ class TestHarness:
             "import sys; bare = set(sys.modules); import latticecf.cli; "
             "print(' '.join(sorted(set(sys.modules) - bare)))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
-        )
+        proc = spawn("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        added = set(proc.stdout.split())
+        added = set(proc.stdout.decode().split())
         assert "latticecf.cli" in added
         assert {"dataclasses", "inspect"}.isdisjoint(added), sorted(added)
 
@@ -354,17 +363,31 @@ class TestHarness:
             ["curve", "resolve", "13", "5", "--format", "dot"],
         ]
         for args in commands:
-            runs = [
-                subprocess.run(
-                    [sys.executable, "-m", "latticecf", *args],
-                    capture_output=True,
-                    env=child_env(PYTHONHASHSEED=seed),
-                )
-                for seed in ("1", "77")
-            ]
+            runs = [spawn("-m", "latticecf", *args, PYTHONHASHSEED=seed) for seed in ("1", "77")]
             for run in runs:
                 assert run.returncode == 0, run.stderr.decode()
             assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "expand", "--kind", "hj"),
+        ("sing", "resolve"),
+        ("cone", "polygon"),
+        ("cone", "duality-report"),
+    ], ids=["cf-expand-hj", "sing-resolve", "cone-polygon", "cone-duality-report"])
+    def test_no_stall_on_unary_answer_too_large_to_build(self, argv):
+        # (10^21+1)/10^21 = [(2)^(10^21)]-: its blocks come from a two-step
+        # Euclid, and no unary answer of 10^21 terms can be built.  Each
+        # command must give up at once, inside the timeout and the memory
+        # cap, on one line.  Without a work budget that line is exit 3, an
+        # internal OverflowError from repeating a list 10^21 times; a budget
+        # that refuses such an answer before building it exits 2 instead,
+        # so both codes are accepted here.
+        n = 10**21
+        proc = spawn("-m", "latticecf", *argv, f"{n + 1}/{n}", timeout=5)
+        err = proc.stderr.decode()
+        assert proc.returncode in (2, 3), err
+        assert proc.stdout == b""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
 
 # Each --oracle command, the library function behind its answer and its oracle,

@@ -642,6 +642,14 @@ class TestSerialization:
         assert "v0 -- arrow0;" in text
         assert "genus=1" in text
 
+    def test_dot_escapes_labels(self):
+        # a quote would end the DOT string early; a final backslash would
+        # join the \n that puts the weight on its own line
+        g = G.WeightedDualGraph((G.Vertex(0, -2, 'a"b'), G.Vertex(0, -2, "x\\")), ())
+        text = G.to_dot(g)
+        assert 'v0 [label="a\\"b\\n-2", weight=-2, genus=0];' in text
+        assert 'v1 [label="x\\\\\\n-2", weight=-2, genus=0];' in text
+
     def test_json_roundtrip_examples(self):
         for g in (
             G.chain(()),
